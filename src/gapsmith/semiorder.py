@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-import numpy as np
-
 from .rationals import format_rational, parse_rational
 
 Matrix = tuple[tuple[bool, ...], ...]
@@ -34,7 +32,11 @@ class NotASemiorder(ValueError):
 
 
 class SynthesisFailed(RuntimeError):
-    """Difference-constraint solving exhausted the slack schedule."""
+    """No certified representation; ``witness`` is the failing pair, if any."""
+
+    def __init__(self, message: str, witness: Optional[tuple[int, int]] = None):
+        self.witness = witness
+        super().__init__(message)
 
 
 class TooLarge(ValueError):
@@ -230,7 +232,10 @@ def synthesize_ss(r: Semiorder) -> SSRep:
             low = min(dist)
             rep = SSRep(tuple(v - low for v in dist))
             ok, witness = check_ss(r, rep)
-            assert ok, f"solver produced an invalid representation: {witness}"
+            if not ok:
+                raise SynthesisFailed(
+                    f"solver produced an invalid representation: {witness}", witness
+                )
             return rep
         slack /= 2
     raise SynthesisFailed("slack schedule exhausted on a valid semiorder")
@@ -314,74 +319,38 @@ def _max_n() -> int:
     return int(os.environ.get("GAPSMITH_MAX_N", "6"))
 
 
-def _batched_axiom_filter(n: int, codes: np.ndarray, pair_index) -> np.ndarray:
-    """Boolean mask of semiorders among pairwise-state codes (0 none, 1 i<j, 2 j>i)."""
-    k = codes.shape[0]
-    rel = np.zeros((k, n, n), dtype=bool)
-    for p, (i, j) in enumerate(pair_index):
-        rel[:, i, j] = codes[:, p] == 1
-        rel[:, j, i] = codes[:, p] == 2
-    r8 = rel.astype(np.uint8)
-    not8 = (~rel).astype(np.uint8)
-    a = (np.transpose(r8, (0, 2, 1)) @ not8) > 0
-    fail1 = (a & np.transpose(a, (0, 2, 1))).any(axis=(1, 2))
-    rr = (r8 @ r8) > 0
-    nn = (not8 @ not8) > 0
-    fail2 = (rr & nn).any(axis=(1, 2))
-    return ~(fail1 | fail2)
-
-
-def canonical_form(r: Semiorder, order: str = "min") -> bytes:
-    """Isomorphism-invariant key: extremal matrix bits over all relabelings."""
-    pick = min if order == "min" else max
-    best = None
-    for perm in itertools.permutations(range(r.n)):
-        bits = bytes(
-            r.strict[perm[i]][perm[j]] for i in range(r.n) for j in range(r.n)
-        )
-        best = bits if best is None else pick(best, bits)
-    return best
+def _shapes(n: int) -> list[tuple[int, ...]]:
+    """Every non-decreasing f on 0..n-1 with i < f(i) <= n (Catalan many)."""
+    fs: list[tuple[int, ...]] = [()]
+    for i in range(n):
+        fs = [f + (v,) for f in fs
+              for v in range(max(f[-1] if f else 0, i + 1), n + 1)]
+    return fs
 
 
 def enumerate_semiorders(
-    n: int, up_to_iso: bool = False, canon_order: str = "min"
+    n: int, up_to_iso: bool = False
 ) -> tuple[int, list[Semiorder]]:
-    """All semiorders on n labeled points, optionally deduplicated by shape."""
+    """All semiorders on n labeled points, or one per isomorphism class.
+
+    Listing the elements of a semiorder in trace order, x < y iff y lies at or
+    beyond a non-decreasing threshold f(x) > x; distinct f give non-isomorphic
+    shapes (Wine & Freund 1957).  The labeled semiorders are the distinct
+    relabelings of the shapes.
+    """
     if n > _max_n():
         raise TooLarge(f"n={n} above the enumeration cap {_max_n()}")
     if n < 1:
         raise ValueError("n must be positive")
-    pair_index = list(itertools.combinations(range(n), 2))
-    total = 3 ** len(pair_index)
-    out: list[Semiorder] = []
-    seen: set[bytes] = set()
-    chunk = 65536
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        codes = np.zeros((stop - start, len(pair_index)), dtype=np.int8)
-        vals = np.arange(start, stop, dtype=np.int64)
-        for p in range(len(pair_index)):
-            codes[:, p] = vals % 3
-            vals //= 3
-        mask = (
-            _batched_axiom_filter(n, codes, pair_index)
-            if pair_index
-            else np.ones(1, dtype=bool)
-        )
-        for row in codes[mask]:
-            m = [[False] * n for _ in range(n)]
-            for p, (i, j) in enumerate(pair_index):
-                if row[p] == 1:
-                    m[i][j] = True
-                elif row[p] == 2:
-                    m[j][i] = True
-            cand = Semiorder(n, _as_matrix(m))
-            if up_to_iso:
-                key = canonical_form(cand, canon_order)
-                if key in seen:
-                    continue
-                seen.add(key)
-            out.append(cand)
+    rng = range(n)
+    found = [tuple(tuple(j >= f[i] for j in rng) for i in rng) for f in _shapes(n)]
+    if not up_to_iso:
+        found = list(dict.fromkeys(
+            tuple(tuple(m[a][b] for b in perm) for a in perm)
+            for m in found
+            for perm in itertools.permutations(rng)
+        ))
+    out = [Semiorder(n, m) for m in found]
     return len(out), out
 
 

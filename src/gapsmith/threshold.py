@@ -49,6 +49,16 @@ class CertificateFailed(RuntimeError):
         super().__init__(f"{kind} certificate failed at {witness}")
 
 
+def _certify(fmap: plmap.PLMap, s: PointSet) -> None:
+    """Both hard postconditions, strict increase first; raise on the first failure."""
+    ok, witness = plmap.is_strictly_increasing_on(fmap, s)
+    if not ok:
+        raise CertificateFailed("strict_increase", witness)
+    ok, witness = plmap.threshold_equiv(fmap, s)
+    if not ok:
+        raise CertificateFailed("threshold_equivalence", witness)
+
+
 @dataclass(frozen=True)
 class ThresholdPlan:
     gap: Gap
@@ -263,12 +273,7 @@ def apply_plan(s: PointSet, plan: ThresholdPlan) -> tuple[plmap.PLMap, PointSet]
     """Apply the plan; both certificates are hard postconditions."""
     fmap = plmap.PLMap(plan.pieces, s)
     img = plmap.image(fmap, s)
-    ok, witness = plmap.is_strictly_increasing_on(fmap, s)
-    if not ok:
-        raise CertificateFailed("strict_increase", witness)
-    ok, witness = plmap.threshold_equiv(fmap, s)
-    if not ok:
-        raise CertificateFailed("threshold_equivalence", witness)
+    _certify(fmap, s)
     if fmap.apply(plan.gap.lo) != fmap.apply(plan.gap.hi):
         raise CertificateFailed("gap_not_closed", (plan.gap.lo, plan.gap.hi))
     return fmap, img
@@ -382,12 +387,7 @@ def remove_strong(s: PointSet) -> tuple[plmap.PLMap, PointSet, ScheduleTrace]:
                 ThresholdStep(len(steps) + 1, k, g0, cur_gap, plan, fmap, norm)
             )
     assert not ps.bad_gaps(current), "strong removal left a bad gap"
-    ok, witness = plmap.is_strictly_increasing_on(gmap, s)
-    if not ok:
-        raise CertificateFailed("strict_increase", witness)
-    ok, witness = plmap.threshold_equiv(gmap, s)
-    if not ok:
-        raise CertificateFailed("threshold_equivalence", witness)
+    _certify(gmap, s)
     ledger.append(Fraction(0))
     trace = ScheduleTrace(
         interval_order=tuple(visited),
@@ -471,12 +471,7 @@ def remove_epsilon(
         notes.append("budget safety pass revisited a cell")
         step_on(target, cell)
     assert all(g.length < eps0 for g in ps.bad_gaps(current))
-    ok, witness = plmap.is_strictly_increasing_on(gmap, s)
-    if not ok:
-        raise CertificateFailed("strict_increase", witness)
-    ok, witness = plmap.threshold_equiv(gmap, s)
-    if not ok:
-        raise CertificateFailed("threshold_equivalence", witness)
+    _certify(gmap, s)
     ledger.append(Fraction(0))
     trace = ScheduleTrace(
         interval_order=tuple(visited),

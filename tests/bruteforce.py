@@ -1,4 +1,9 @@
-"""Independent oracle: finite search for a threshold-preserving closing map.
+"""Independent brute-force oracles for the tests.
+
+Semiorders: every asymmetric relation on n points filtered by
+``check_axioms``, and an isomorphism key that tries all n! relabelings.
+
+Threshold closing maps: a finite search for a threshold-preserving closing map.
 
 Searches monotone rational assignments (denominators up to a bound) on the
 sample points of a set, under the exact pair conditions any strictly
@@ -13,13 +18,40 @@ construction; used to confirm impossibility on the Fail corpus.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 from gapsmith import pointset as ps
+from gapsmith import semiorder as so
 from gapsmith.pointset import Gap, GapKind
 
 _INF = F(10**9)
+
+
+def labeled_semiorders(n: int) -> set[tuple[tuple[bool, ...], ...]]:
+    """Every semiorder on n labeled points, out of all 3^C(n,2) asymmetric relations."""
+    pairs = list(itertools.combinations(range(n), 2))
+    out = set()
+    for code in itertools.product((0, 1, 2), repeat=len(pairs)):
+        m = [[False] * n for _ in range(n)]
+        for (i, j), c in zip(pairs, code):
+            if c == 1:
+                m[i][j] = True
+            elif c == 2:
+                m[j][i] = True
+        if isinstance(so.check_axioms(m), so.Valid):
+            out.add(tuple(map(tuple, m)))
+    return out
+
+
+def canonical_form(strict) -> bytes:
+    """Isomorphism-invariant key: the least matrix bits over all relabelings."""
+    n = len(strict)
+    return min(
+        bytes(strict[p[i]][p[j]] for i in range(n) for j in range(n))
+        for p in itertools.permutations(range(n))
+    )
 
 
 def _grid(lo: F, hi: F, max_den: int) -> list[F]:

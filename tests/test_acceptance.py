@@ -142,16 +142,17 @@ def test_criterion_5_epsilon_budget():
 
 def test_criterion_6_semiorder_oracle():
     start = time.time()
-    expected = {1: 1, 2: 2, 3: 5, 4: 14}
-    for n in range(1, 5):
-        count_min, _ = so.enumerate_semiorders(n, up_to_iso=True, canon_order="min")
-        count_max, _ = so.enumerate_semiorders(n, up_to_iso=True, canon_order="max")
-        assert count_min == count_max == expected[n], (n, count_min, count_max)
+    up_to_iso = (1, 2, 5, 14, 42, 132)
+    labeled = (1, 3, 19, 183, 2371, 38703)
+    for n in range(1, 7):
+        assert so.enumerate_semiorders(n, up_to_iso=True)[0] == up_to_iso[n - 1], n
+        assert so.enumerate_semiorders(n)[0] == labeled[n - 1], n
     elapsed = time.time() - start
     _line(
-        "criterion 6 (semiorder enumeration oracle)",
+        "criterion 6 (semiorder enumeration counts)",
         elapsed < 30.0,
-        f"n=1..4 counts 1,2,5,14 under two canonicalization orders in {elapsed:.2f}s (< 30s)",
+        f"n=1..6 counts 1,2,5,14,42,132 up to isomorphism and "
+        f"1,3,19,183,2371,38703 labeled in {elapsed:.2f}s (< 30s)",
     )
 
 

@@ -1,10 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from gapsmith import semiorder as so
+from bruteforce import canonical_form, labeled_semiorders
 
 
 def test_check_axioms_valid():
@@ -82,6 +87,13 @@ def test_synthesize_antichain_bounds():
         assert abs(rep.values[x] - rep.values[y]) <= 1
 
 
+def test_synthesize_uncertified_raises(monkeypatch):
+    monkeypatch.setattr(so, "check_ss", lambda r, u: (False, (0, 1)))
+    with pytest.raises(so.SynthesisFailed) as info:
+        so.synthesize_ss(so.semiorder(2, [(0, 1)]))
+    assert info.value.witness == (0, 1)
+
+
 def test_synthesize_rejects_non_semiorder():
     m = [[False] * 4 for _ in range(4)]
     m[0][1] = m[2][3] = True
@@ -146,20 +158,38 @@ def test_enumerate_counts():
     assert so.enumerate_semiorders(4, up_to_iso=True)[0] == 14
 
 
-def test_enumerate_matches_plain_filter():
-    # Independent slow check of the batched filter on n = 3.
-    count, items = so.enumerate_semiorders(3)
-    slow = 0
-    for codes in itertools.product(range(3), repeat=3):
-        m = [[False] * 3 for _ in range(3)]
-        for (i, j), c in zip(itertools.combinations(range(3), 2), codes):
-            if c == 1:
-                m[i][j] = True
-            elif c == 2:
-                m[j][i] = True
-        if isinstance(so.check_axioms(m), so.Valid):
-            slow += 1
-    assert count == slow
+def test_enumerate_matches_bruteforce():
+    for n in range(1, 5):
+        count, items = so.enumerate_semiorders(n)
+        found = [r.strict for r in items]
+        assert count == len(set(found)) == len(found)
+        assert set(found) == labeled_semiorders(n)
+
+
+def test_enumerate_shapes_are_isomorphism_classes():
+    for n in range(1, 6):
+        _, shapes = so.enumerate_semiorders(n, up_to_iso=True)
+        keys = [canonical_form(r.strict) for r in shapes]
+        assert len(set(keys)) == len(keys)
+        _, items = so.enumerate_semiorders(n)
+        assert {canonical_form(r.strict) for r in items} == set(keys)
+
+
+def test_enumerate_without_numpy():
+    src = Path(so.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import gapsmith\n"
+        "print(gapsmith.enumerate_semiorders(4)[0])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("GAPSMITH_MAX_N", None)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "183"
 
 
 def test_enumerate_too_large(monkeypatch):
