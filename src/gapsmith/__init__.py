@@ -11,6 +11,7 @@ from .pointset import (
     EmptySet,
     Gap,
     GapKind,
+    InvariantBroken,
     MalformedComponent,
     NotBad,
     PointSet,

@@ -1,8 +1,8 @@
 """Command-line surface: gaps, structure checks, removals, semiorder tools.
 
 Exit codes: 0 success (verdicts are data), 2 structure violation blocking a
-removal, 3 certificate failure, 4 invalid input, 64 usage error, 74 I/O
-error.
+removal, 3 certificate failure, 4 invalid input, 64 usage error, 70 internal
+error, 74 I/O error.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ EX_STRUCTURE = 2
 EX_CERTIFICATE = 3
 EX_INPUT = 4
 EX_USAGE = 64
+EX_SOFTWARE = 70
 EX_IO = 74
 
 
@@ -130,76 +131,26 @@ def _stages(s: ps.PointSet, maps) -> list[tuple[str, ps.PointSet]]:
 
 def _run_remove(cmd: Command, s: ps.PointSet) -> int:
     mode = cmd.options["mode"]
-    trace_lines: list[dict] = []
     if mode == "weak":
         trace = debreu.remove_all(s)
-        final, total = trace.final_set, trace.total_map
-        step_maps = [step.map for step in trace.steps]
-        for step in trace.steps:
-            trace_lines.append(
-                {
-                    "index": step.index,
-                    "gap_before": step.gap_before.to_json_dict(),
-                    "current_gap": step.current_gap.to_json_dict(),
-                    "delta": format_rational(step.delta),
-                    "l": format_rational(step.l),
-                    "map": step.map.to_json_dict(),
-                }
-            )
-        extra = {"steps": len(trace.steps)}
+        total, final = trace.total_map, trace.final_set
+    elif mode == "epsilon":
+        total, final, trace = threshold.remove_epsilon(s, cmd.options["epsilon"])
     else:
-        if mode == "epsilon":
-            total, final, trace = threshold.remove_epsilon(s, cmd.options["epsilon"])
-        else:
-            total, final, trace = threshold.remove_strong(s)
-        step_maps = [step.map for step in trace.steps]
-        for step in trace.steps:
-            trace_lines.append(
-                {
-                    "index": step.index,
-                    "cell": step.cell,
-                    "gap_original": step.gap_original.to_json_dict(),
-                    "gap_current": step.gap_current.to_json_dict(),
-                    "sup_norm": format_rational(step.sup_norm),
-                    "plan": {
-                        "orientation": step.plan.orientation,
-                        "m": step.plan.m,
-                        "m_prime": step.plan.m_prime,
-                        "notes": list(step.plan.notes),
-                        "pieces": [
-                            {
-                                "lo": format_rational(p.lo),
-                                "hi": format_rational(p.hi),
-                                "slope": format_rational(p.slope),
-                                "intercept": format_rational(p.intercept),
-                                "tag": p.tag,
-                            }
-                            for p in step.plan.pieces
-                        ],
-                    },
-                }
-            )
-        extra = {
-            "steps": len(trace.steps),
-            "interval_order": list(trace.interval_order),
-            "eps0": format_rational(trace.eps0) if trace.eps0 is not None else None,
-            "eps1": format_rational(trace.eps1) if trace.eps1 is not None else None,
-            "sup_norm_ledger": [format_rational(x) for x in trace.sup_norm_ledger],
-            "notes": list(trace.notes),
-        }
-
+        total, final, trace = threshold.remove_strong(s)
     if cmd.options.get("trace"):
         with open(cmd.options["trace"], "w", encoding="utf-8") as fh:
-            for line in trace_lines:
-                fh.write(json.dumps(line) + "\n")
+            for step in trace.steps:
+                fh.write(json.dumps(step.to_json_dict()) + "\n")
     if cmd.options.get("emit_diagram"):
-        diagram.write_diagram(cmd.options["emit_diagram"], _stages(s, step_maps))
+        stages = _stages(s, [step.map for step in trace.steps])
+        diagram.write_diagram(cmd.options["emit_diagram"], stages)
     payload = {
         "mode": mode,
         "input": s.to_json_dict(),
         "final": final.to_json_dict(),
         "map": total.to_json_dict(),
-        **extra,
+        **trace.to_json_dict(),
     }
     _emit(payload, cmd.output_path)
     return EX_OK
@@ -281,6 +232,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except threshold.CertificateFailed as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)
         return EX_CERTIFICATE
+    except ps.InvariantBroken as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EX_IO

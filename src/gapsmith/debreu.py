@@ -16,7 +16,8 @@ from typing import Callable
 
 from . import plmap
 from . import pointset as ps
-from .pointset import EmptySet, Gap, NotBad, PointSet
+from .pointset import EmptySet, Gap, InvariantBroken, NotBad, PointSet
+from .rationals import format_rational
 
 
 class NoSuchGap(ValueError):
@@ -48,12 +49,25 @@ class RemovalStep:
     l: Fraction
     map: plmap.PLMap
 
+    def to_json_dict(self) -> dict:
+        return {
+            "index": self.index,
+            "gap_before": self.gap_before.to_json_dict(),
+            "current_gap": self.current_gap.to_json_dict(),
+            "delta": format_rational(self.delta),
+            "l": format_rational(self.l),
+            "map": self.map.to_json_dict(),
+        }
+
 
 @dataclass(frozen=True)
 class RemovalTrace:
     steps: tuple[RemovalStep, ...]
     total_map: plmap.PLMap
     final_set: PointSet
+
+    def to_json_dict(self) -> dict:
+        return {"steps": len(self.steps)}
 
 
 def remove_one(s: PointSet, g: Gap) -> tuple[plmap.PLMap, PointSet]:
@@ -77,7 +91,8 @@ def _run(s: PointSet, stop: Callable[[Fraction], bool]) -> RemovalTrace:
         raise EmptySet("nothing to remove from the empty set")
     width = s.span
     total_mass, _ = ps.bad_gap_mass(s)
-    assert total_mass < width or width == 0, "bad mass must stay below the span"
+    if total_mass >= width > 0:
+        raise InvariantBroken("bad mass must stay below the span")
     order = ps.bad_gaps_biggest_first(s)
     gmap = plmap.identity(s)
     current = s
@@ -86,8 +101,8 @@ def _run(s: PointSet, stop: Callable[[Fraction], bool]) -> RemovalTrace:
         cur = Gap(gmap.apply(g0.lo), gmap.apply(g0.hi), g0.kind)
         if stop(cur.length):
             break
-        biggest = ps.bad_gaps_biggest_first(current)[0]
-        assert biggest == cur, "removal order drifted from the original ordering"
+        if ps.bad_gaps_biggest_first(current)[0] != cur:
+            raise InvariantBroken("removal order drifted from the original ordering")
         fmap, current = remove_one(current, cur)
         steps.append(
             RemovalStep(

@@ -3,9 +3,9 @@
 Pieces are closed intervals that may share endpoints (values must agree there,
 so lookup is unambiguous) and may leave holes where the host set has no
 material.  The two certification predicates work on a finite sample of the
-host set; pieces are affine and the sample contains every breakpoint, member
-endpoint and their unit translates, so a violation cannot hide between
-samples.
+host set: member endpoints, quartiles, breakpoints and their unit translates.
+The threshold check compares sample pairs only, so it can miss a violation
+whose witness is not sampled (such as a preimage of f(p) + 1).
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ class AffinePiece:
     hi: Fraction
     slope: Fraction
     intercept: Fraction
-    lo_closed: bool = True
-    hi_closed: bool = True
     tag: str = ""
 
     def __post_init__(self) -> None:
@@ -50,19 +48,16 @@ class AffinePiece:
     def contains(self, x: Fraction) -> bool:
         return self.lo <= x <= self.hi
 
-
-def piece_through(
-    lo: Fraction,
-    hi: Fraction,
-    v_lo: Fraction,
-    v_hi: Fraction,
-    tag: str = "",
-) -> AffinePiece:
-    """Affine piece on [lo, hi] interpolating (lo, v_lo) -> (hi, v_hi)."""
-    if hi == lo:
-        raise ValueError("degenerate piece needs distinct endpoints")
-    slope = (v_hi - v_lo) / (hi - lo)
-    return AffinePiece(lo, hi, slope, v_lo - slope * lo, tag=tag)
+    def to_json_dict(self) -> dict:
+        out = {
+            "lo": format_rational(self.lo),
+            "hi": format_rational(self.hi),
+            "slope": format_rational(self.slope),
+            "intercept": format_rational(self.intercept),
+        }
+        if self.tag:
+            out["tag"] = self.tag
+        return out
 
 
 @dataclass(frozen=True)
@@ -95,20 +90,10 @@ class PLMap:
         return sorted(pts)
 
     def to_json_dict(self) -> dict:
-        out = []
-        for p in self.pieces:
-            d = {
-                "lo": format_rational(p.lo),
-                "hi": format_rational(p.hi),
-                "lo_closed": p.lo_closed,
-                "hi_closed": p.hi_closed,
-                "slope": format_rational(p.slope),
-                "intercept": format_rational(p.intercept),
-            }
-            if p.tag:
-                d["tag"] = p.tag
-            out.append(d)
-        return {"pieces": out, "domain": self.domain_hint.to_json_dict()}
+        return {
+            "pieces": [p.to_json_dict() for p in self.pieces],
+            "domain": self.domain_hint.to_json_dict(),
+        }
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict())
@@ -121,8 +106,6 @@ def from_json_dict(obj: dict) -> PLMap:
             parse_rational(p["hi"]),
             parse_rational(p["slope"]),
             parse_rational(p["intercept"]),
-            bool(p.get("lo_closed", True)),
-            bool(p.get("hi_closed", True)),
             p.get("tag", ""),
         )
         for p in obj["pieces"]
@@ -137,10 +120,6 @@ def loads(text: str) -> PLMap:
 def identity(s: ps.PointSet) -> PLMap:
     piece = AffinePiece(s.inf, s.sup, Fraction(1), Fraction(0), tag="Identity")
     return PLMap((piece,), s)
-
-
-def apply(m: PLMap, x: Fraction) -> Fraction:
-    return m.apply(x)
 
 
 def compose(outer: PLMap, inner: PLMap) -> PLMap:

@@ -30,6 +30,10 @@ class NotBad(ValueError):
     """Gap is not half-open."""
 
 
+class InvariantBroken(RuntimeError):
+    """An internal invariant of a removal failed: a bug, never bad input."""
+
+
 @dataclass(frozen=True, order=True)
 class Component:
     """One maximal piece of the set: an interval or an isolated point."""

@@ -9,7 +9,6 @@ the output is trace-monotone (equal values inside each trace class).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -352,7 +351,3 @@ def enumerate_semiorders(
         ))
     out = [Semiorder(n, m) for m in found]
     return len(out), out
-
-
-def dumps(r: Semiorder) -> str:
-    return json.dumps(r.to_json_dict())

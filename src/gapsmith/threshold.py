@@ -13,22 +13,23 @@ four affine families on the unit grid anchored at w:
   singleton's image dictated by the unit-shift identity).
 
 Beyond the terminal depth the whole map repeats with period one, so the
-threshold relation is preserved against arbitrary deep structure.  The two
-certificates are hard postconditions: a failure aborts the operation.
+threshold relation is preserved against arbitrary deep structure.  A failed
+certificate aborts; the threshold one is sampled and can miss a violation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from . import plmap
 from . import pointset as ps
 from . import structure as st
-from .pointset import EmptySet, Gap, GapKind, NotBad, PointSet, UnitPartition
-from .structure import ChainInfo, GapContext, GapTooLong
+from .pointset import EmptySet, Gap, GapKind, InvariantBroken, PointSet, UnitPartition
+from .rationals import format_rational
+from .structure import ChainInfo, GapContext
 
 
 class StructureViolated(RuntimeError):
@@ -70,6 +71,15 @@ class ThresholdPlan:
     structure: tuple[GapContext, GapContext]
     notes: tuple[str, ...]
 
+    def to_json_dict(self) -> dict:
+        return {
+            "orientation": self.orientation,
+            "m": self.m,
+            "m_prime": self.m_prime,
+            "notes": list(self.notes),
+            "pieces": [p.to_json_dict() for p in self.pieces],
+        }
+
 
 @dataclass(frozen=True)
 class ThresholdStep:
@@ -80,6 +90,16 @@ class ThresholdStep:
     plan: ThresholdPlan
     map: plmap.PLMap
     sup_norm: Fraction
+
+    def to_json_dict(self) -> dict:
+        return {
+            "index": self.index,
+            "cell": self.cell,
+            "gap_original": self.gap_original.to_json_dict(),
+            "gap_current": self.gap_current.to_json_dict(),
+            "sup_norm": format_rational(self.sup_norm),
+            "plan": self.plan.to_json_dict(),
+        }
 
 
 @dataclass(frozen=True)
@@ -92,6 +112,17 @@ class ScheduleTrace:
     steps: tuple[ThresholdStep, ...]
     partition: Optional[UnitPartition]
     notes: tuple[str, ...]
+
+    def to_json_dict(self) -> dict:
+        """The removal payload fields; the steps go one per trace line."""
+        return {
+            "steps": len(self.steps),
+            "interval_order": list(self.interval_order),
+            "eps0": None if self.eps0 is None else format_rational(self.eps0),
+            "eps1": None if self.eps1 is None else format_rational(self.eps1),
+            "sup_norm_ledger": [format_rational(x) for x in self.sup_norm_ledger],
+            "notes": list(self.notes),
+        }
 
 
 def _azone_value(t: Fraction, r: Fraction, w: Fraction, expand: Fraction) -> Fraction:
@@ -270,7 +301,7 @@ def plan_gap(
 
 
 def apply_plan(s: PointSet, plan: ThresholdPlan) -> tuple[plmap.PLMap, PointSet]:
-    """Apply the plan; both certificates are hard postconditions."""
+    """Apply the plan; a failed certificate raises CertificateFailed."""
     fmap = plmap.PLMap(plan.pieces, s)
     img = plmap.image(fmap, s)
     _certify(fmap, s)
@@ -297,15 +328,77 @@ def _cell_of(part: UnitPartition, g: Gap) -> int:
 
 
 @dataclass
-class _Schedule:
+class _Removal:
+    """One threshold removal in progress: the unit-cell schedule of the bad
+    gaps, then the running total map and image, the steps, ledger and notes."""
+
+    s: PointSet
     partition: UnitPartition
     cell_order: list[int]
     cell_gaps: dict[int, list[Gap]]
     cell_deltas: dict[int, list[Fraction]]
     notes: list[str]
+    gmap: plmap.PLMap
+    current: PointSet
+    steps: list[ThresholdStep] = field(default_factory=list)
+    ledger: list[Fraction] = field(default_factory=list)
+    visited: list[int] = field(default_factory=list)
+
+    def longest(self, originals: list[Gap], floor: Fraction) -> Optional[Gap]:
+        """The original gap now longest (leftmost on ties) if it reaches ``floor``."""
+        now = {g: self.gmap.apply(g.hi) - self.gmap.apply(g.lo) for g in originals}
+        live = [g for g in originals if now[g] >= floor]
+        return max(live, key=lambda g: (now[g], -g.lo), default=None)
+
+    def step(self, g0: Gap, cell: int) -> bool:
+        """Fuse the original gap ``g0``; False if it is already fused."""
+        lo, hi = self.gmap.apply(g0.lo), self.gmap.apply(g0.hi)
+        if lo == hi:
+            return False
+        cur_gap = Gap(lo, hi, g0.kind)
+        if cur_gap not in ps.gaps(self.current):
+            raise InvariantBroken("tracked gap drifted from the image set")
+        ctx = st.analyze_gap(self.current, cur_gap)
+        for c in ctx:
+            if c.failure is not None:
+                raise StructureViolated(
+                    c.failure, note="structure broke mid-pipeline; surfacing as a finding"
+                )
+        plan = plan_gap(self.current, cur_gap, ctx)
+        fmap, nxt = apply_plan(self.current, plan)
+        norm = sup_norm(fmap, self.current)
+        self.current = nxt
+        self.gmap = plmap.compose(fmap, self.gmap)
+        self.ledger.append(norm)
+        self.steps.append(
+            ThresholdStep(len(self.steps) + 1, cell, g0, cur_gap, plan, fmap, norm)
+        )
+        return True
+
+    def finish(self, eps0=None, eps1=None) -> tuple:
+        """Certify the total map, close the ledger and build the trace."""
+        for g in ps.bad_gaps(self.current):
+            if eps0 is None or g.length >= eps0:
+                raise InvariantBroken(f"removal left the bad gap {g}")
+        _certify(self.gmap, self.s)
+        self.ledger.append(Fraction(0))
+        trace = ScheduleTrace(
+            interval_order=tuple(self.visited),
+            per_interval_deltas=tuple(
+                tuple(self.cell_deltas.get(k, ())) for k in self.visited
+            ),
+            eps0=eps0,
+            eps1=eps1,
+            sup_norm_ledger=tuple(self.ledger),
+            steps=tuple(self.steps),
+            partition=self.partition,
+            notes=tuple(dict.fromkeys(self.notes)),
+        )
+        return self.gmap, self.current, trace
 
 
-def _schedule(s: PointSet) -> _Schedule:
+def _schedule(s: PointSet) -> _Removal:
+    """Assign the bad gaps of ``s`` to unit cells; the removal starts here."""
     bads = ps.bad_gaps_biggest_first(s)
     anchor = _closed_end(bads[0])
     part = ps.unit_partition(s, anchor)
@@ -330,25 +423,17 @@ def _schedule(s: PointSet) -> _Schedule:
     order = sorted(
         cell_gaps, key=lambda k: (-max(g.length for g in cell_gaps[k]), k)
     )
-    return _Schedule(part, order, cell_gaps, cell_deltas, list(dict.fromkeys(notes)))
+    return _Removal(s, part, order, cell_gaps, cell_deltas, notes, plmap.identity(s), s)
 
 
-def _remove_original_gap(s, gmap, current, g0):
-    """One threshold step for the original gap ``g0``; None if already fused."""
-    lo, hi = gmap.apply(g0.lo), gmap.apply(g0.hi)
-    if lo == hi:
-        return None
-    cur_gap = Gap(lo, hi, g0.kind)
-    assert cur_gap in ps.gaps(current), "tracked gap drifted from the image set"
-    ctx = st.analyze_gap(current, cur_gap)
-    for c in ctx:
-        if c.failure is not None:
-            raise StructureViolated(
-                c.failure, note="structure broke mid-pipeline; surfacing as a finding"
-            )
-    plan = plan_gap(current, cur_gap, ctx)
-    fmap, nxt = apply_plan(current, plan)
-    return cur_gap, plan, fmap, nxt
+def _prologue(s: PointSet) -> list[Gap]:
+    """Checks shared by both removals; returns the bad gaps, biggest first."""
+    if not s:
+        raise EmptySet("nothing to remove from the empty set")
+    report = st.check_all(s)
+    if not report.passed:
+        raise StructureViolated(report.failure)
+    return ps.bad_gaps_biggest_first(s)
 
 
 def _identity_trace(s: PointSet, eps0=None, eps1=None) -> tuple:
@@ -357,51 +442,15 @@ def _identity_trace(s: PointSet, eps0=None, eps1=None) -> tuple:
 
 def remove_strong(s: PointSet) -> tuple[plmap.PLMap, PointSet, ScheduleTrace]:
     """Remove every bad gap while preserving the unit threshold exactly."""
-    if not s:
-        raise EmptySet("nothing to remove from the empty set")
-    report = st.check_all(s)
-    if not report.passed:
-        raise StructureViolated(report.failure)
-    if not ps.bad_gaps(s):
+    if not _prologue(s):
         return _identity_trace(s)
-    sched = _schedule(s)
-    gmap = plmap.identity(s)
-    current = s
-    steps: list[ThresholdStep] = []
-    ledger: list[Fraction] = []
-    notes = list(sched.notes)
-    visited: list[int] = []
-    for k in sched.cell_order:
-        visited.append(k)
-        for g0 in sorted(sched.cell_gaps[k], key=lambda g: (-g.length, g.lo)):
-            result = _remove_original_gap(s, gmap, current, g0)
-            if result is None:
-                notes.append(f"gap at [{g0.lo}, {g0.hi}] already fused; skipped")
-                continue
-            cur_gap, plan, fmap, nxt = result
-            norm = sup_norm(fmap, current)
-            current = nxt
-            gmap = plmap.compose(fmap, gmap)
-            ledger.append(norm)
-            steps.append(
-                ThresholdStep(len(steps) + 1, k, g0, cur_gap, plan, fmap, norm)
-            )
-    assert not ps.bad_gaps(current), "strong removal left a bad gap"
-    _certify(gmap, s)
-    ledger.append(Fraction(0))
-    trace = ScheduleTrace(
-        interval_order=tuple(visited),
-        per_interval_deltas=tuple(
-            tuple(sched.cell_deltas.get(k, ())) for k in visited
-        ),
-        eps0=None,
-        eps1=None,
-        sup_norm_ledger=tuple(ledger),
-        steps=tuple(steps),
-        partition=sched.partition,
-        notes=tuple(dict.fromkeys(notes)),
-    )
-    return gmap, current, trace
+    run = _schedule(s)
+    for k in run.cell_order:
+        run.visited.append(k)
+        for g0 in sorted(run.cell_gaps[k], key=lambda g: (-g.length, g.lo)):
+            if not run.step(g0, k):
+                run.notes.append(f"gap at [{g0.lo}, {g0.hi}] already fused; skipped")
+    return run.finish()
 
 
 def remove_epsilon(
@@ -410,17 +459,12 @@ def remove_epsilon(
     """Shrink every bad gap below ``eps0`` while preserving the unit threshold."""
     if eps0 <= 0:
         raise ValueError("eps0 must be positive")
-    if not s:
-        raise EmptySet("nothing to remove from the empty set")
-    report = st.check_all(s)
-    if not report.passed:
-        raise StructureViolated(report.failure)
-    bads = ps.bad_gaps_biggest_first(s)
+    bads = _prologue(s)
     if not bads:
         return _identity_trace(s, eps0=eps0, eps1=eps0 / 2)
-    sched = _schedule(s)
+    run = _schedule(s)
     budget = Fraction(1)
-    for deltas in sched.cell_deltas.values():
+    for deltas in run.cell_deltas.values():
         factor = 1 - sum(deltas, Fraction(0))
         if factor <= 0:
             raise StructureViolated(None, note="a unit cell is entirely bad gaps")
@@ -428,61 +472,15 @@ def remove_epsilon(
     eps1 = eps0 * budget / 2
     if bads[0].length < eps0:
         return _identity_trace(s, eps0=eps0, eps1=eps1)
-    gmap = plmap.identity(s)
-    current = s
-    steps: list[ThresholdStep] = []
-    ledger: list[Fraction] = []
-    notes = list(sched.notes)
-    visited: list[int] = []
-
-    def step_on(g0: Gap, cell: int) -> bool:
-        nonlocal gmap, current
-        result = _remove_original_gap(s, gmap, current, g0)
-        if result is None:
-            return False
-        cur_gap, plan, fmap, nxt = result
-        norm = sup_norm(fmap, current)
-        current = nxt
-        gmap = plmap.compose(fmap, gmap)
-        ledger.append(norm)
-        steps.append(ThresholdStep(len(steps) + 1, cell, g0, cur_gap, plan, fmap, norm))
-        return True
-
-    def current_length(g0: Gap) -> Fraction:
-        return gmap.apply(g0.hi) - gmap.apply(g0.lo)
-
-    for k in sched.cell_order:
-        visited.append(k)
-        while True:
-            live = [g for g in sched.cell_gaps[k] if current_length(g) >= eps1]
-            if not live:
-                break
-            target = max(live, key=lambda g: (current_length(g), -g.lo))
-            step_on(target, k)
+    for k in run.cell_order:
+        run.visited.append(k)
+        while (g := run.longest(run.cell_gaps[k], eps1)) is not None:
+            run.step(g, k)
     # Budget safety: the per-cell stop bound uses the original masses, so a
     # heavily re-stretched residue could in principle still reach eps0.
-    while True:
-        live = [g for g in ps.bad_gaps_biggest_first(s) if current_length(g) >= eps0]
-        if not live:
-            break
-        target = max(live, key=lambda g: (current_length(g), -g.lo))
-        cell = _cell_of(sched.partition, target)
-        visited.append(cell)
-        notes.append("budget safety pass revisited a cell")
-        step_on(target, cell)
-    assert all(g.length < eps0 for g in ps.bad_gaps(current))
-    _certify(gmap, s)
-    ledger.append(Fraction(0))
-    trace = ScheduleTrace(
-        interval_order=tuple(visited),
-        per_interval_deltas=tuple(
-            tuple(sched.cell_deltas.get(k, ())) for k in visited
-        ),
-        eps0=eps0,
-        eps1=eps1,
-        sup_norm_ledger=tuple(ledger),
-        steps=tuple(steps),
-        partition=sched.partition,
-        notes=tuple(dict.fromkeys(notes)),
-    )
-    return gmap, current, trace
+    while (g := run.longest(bads, eps0)) is not None:
+        cell = _cell_of(run.partition, g)
+        run.visited.append(cell)
+        run.notes.append("budget safety pass revisited a cell")
+        run.step(g, cell)
+    return run.finish(eps0, eps1)

@@ -6,7 +6,7 @@ import pytest
 
 from gapsmith import cli
 from gapsmith import pointset as ps
-from gapsmith import plmap
+from gapsmith import plmap, threshold
 from conftest import figure1
 
 DATA = Path(__file__).parent / "data"
@@ -89,6 +89,81 @@ def test_remove_structure_violated_exit_2(tmp_path):
     s = ps.pointset(ps.interval(0, F(1, 2), True, False), ps.interval(F(3, 2), 2))
     inp = _write_set(tmp_path, s)
     assert cli.main(["remove", "--mode", "strong", "--input", inp]) == 2
+
+
+def _two_bad_gaps() -> ps.PointSet:
+    return ps.pointset(
+        ps.interval(0, F(1, 4), True, False),
+        ps.interval(F(1, 2), F(3, 4)),
+        ps.interval(F(7, 4), F(15, 8), True, False),
+        ps.interval(F(19, 10), 2),
+    )
+
+
+def test_remove_epsilon_end_to_end(tmp_path):
+    inp = _write_set(tmp_path, _two_bad_gaps())
+    out = tmp_path / "o.json"
+    trace_path = tmp_path / "t.jsonl"
+    code = cli.main(
+        [
+            "remove", "--mode", "epsilon", "--epsilon", "1/8", "--input", inp,
+            "--output", str(out), "--trace", str(trace_path),
+        ]
+    )
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["eps0"] == "1/8" and payload["eps1"] == "117/2560"
+    assert len(trace_path.read_text().splitlines()) == payload["steps"] == 1
+    left = ps.bad_gaps(ps.from_json_dict(payload["final"]))
+    assert left and all(g.length < F(1, 8) for g in left)
+
+
+THRESHOLD_PAYLOAD = {
+    "steps", "interval_order", "eps0", "eps1", "sup_norm_ledger", "notes",
+}
+PAYLOAD_KEYS = {
+    "weak": {"mode", "input", "final", "map", "steps"},
+    "strong": {"mode", "input", "final", "map"} | THRESHOLD_PAYLOAD,
+    "epsilon": {"mode", "input", "final", "map"} | THRESHOLD_PAYLOAD,
+}
+THRESHOLD_LINE = {"index", "cell", "gap_original", "gap_current", "sup_norm", "plan"}
+LINE_KEYS = {
+    "weak": {"index", "gap_before", "current_gap", "delta", "l", "map"},
+    "strong": THRESHOLD_LINE,
+    "epsilon": THRESHOLD_LINE,
+}
+PIECE_KEYS = {"lo", "hi", "slope", "intercept", "tag"}
+
+
+@pytest.mark.parametrize("mode", sorted(PAYLOAD_KEYS))
+def test_remove_payload_and_trace_keys(tmp_path, mode):
+    inp = _write_set(tmp_path, figure1())
+    out = tmp_path / "o.json"
+    trace_path = tmp_path / "t.jsonl"
+    assert cli.main(["remove", "--mode", mode, "--epsilon", "1/8", "--input", inp,
+                     "--output", str(out), "--trace", str(trace_path)]) == 0
+    payload = json.loads(out.read_text())
+    assert set(payload) == PAYLOAD_KEYS[mode]
+    assert set(payload["map"]) == {"pieces", "domain"}
+    for piece in payload["map"]["pieces"]:
+        assert set(piece) - {"tag"} == PIECE_KEYS - {"tag"}
+    lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
+    assert lines and len(lines) == payload["steps"]
+    for line in lines:
+        assert set(line) == LINE_KEYS[mode]
+        if mode != "weak":
+            plan = line["plan"]
+            assert set(plan) == {"orientation", "m", "m_prime", "notes", "pieces"}
+            assert all(set(p) == PIECE_KEYS for p in plan["pieces"])
+
+
+def test_internal_error_exit_70(tmp_path, monkeypatch):
+    def broken(s):
+        raise ps.InvariantBroken("tracked gap drifted from the image set")
+
+    monkeypatch.setattr(threshold, "remove_strong", broken)
+    inp = _write_set(tmp_path, figure1())
+    assert cli.main(["remove", "--mode", "strong", "--input", inp]) == 70
 
 
 def test_semiorder_check_verdict_is_data(tmp_path):

@@ -24,6 +24,24 @@ def test_remove_one_open_closed():
     assert img == ps.pointset(ps.interval(0, 1))
 
 
+def test_drifted_removal_order_raises_invariant_broken(monkeypatch):
+    s = ps.pointset(
+        ps.interval(0, F(1, 5), True, False),
+        ps.interval(F(2, 5), F(3, 5), True, False),
+        ps.interval(1, 2),
+    )
+    real = debreu.remove_one
+
+    def stuck(current, g):
+        fmap, _ = real(current, g)
+        return fmap, current  # the image never advances
+
+    monkeypatch.setattr(debreu, "remove_one", stuck)
+    with pytest.raises(ps.InvariantBroken, match="drifted"):
+        debreu.remove_all(s)
+    assert not issubclass(ps.InvariantBroken, ValueError)
+
+
 def test_remove_one_rejects():
     s = ps.pointset(ps.interval(0, 1))
     with pytest.raises(debreu.NoSuchGap):
