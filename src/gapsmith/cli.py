@@ -31,6 +31,25 @@ class UsageError(ValueError):
     pass
 
 
+class InvalidInput(ValueError):
+    """An input file whose JSON does not describe a set or a relation."""
+
+
+# Failures that mean the input is at fault (exit 4).  Anything else raised
+# past the parse boundary is a bug in the program (exit 70).
+_INPUT_ERRORS = (
+    InvalidInput,
+    MalformedRational,
+    ps.MalformedComponent,
+    ps.EmptySet,
+    ps.NotBad,
+    st.GapTooLong,
+    semiorder.NotASemiorder,
+    semiorder.NotAsymmetric,
+    json.JSONDecodeError,
+)
+
+
 @dataclass
 class Command:
     verb: str
@@ -88,6 +107,8 @@ def parse_args(argv: list[str]) -> Command:
             if eps <= 0:
                 raise UsageError("--epsilon must be positive")
             options["epsilon"] = eps
+    if ns.verb == "enumerate" and ns.n < 1:
+        raise UsageError("--n must be positive")
     return Command(
         verb=ns.verb,
         options=options,
@@ -96,9 +117,15 @@ def parse_args(argv: list[str]) -> Command:
     )
 
 
-def _read_json(path: str) -> dict:
+def _load(path: str, parse):
+    """``parse`` applied to the JSON in ``path``; malformed content is InvalidInput."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return parse(json.load(fh))
+        except _INPUT_ERRORS:
+            raise
+        except (AttributeError, LookupError, RecursionError, TypeError, ValueError) as exc:
+            raise InvalidInput(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _emit(payload: dict, output_path: Optional[str]) -> None:
@@ -158,7 +185,7 @@ def _run_remove(cmd: Command, s: ps.PointSet) -> int:
 
 def execute(cmd: Command) -> int:
     if cmd.verb in ("gaps", "check-structure", "remove", "report"):
-        s = ps.from_json_dict(_read_json(cmd.input_path))
+        s = _load(cmd.input_path, ps.from_json_dict)
         if not s:
             raise ps.EmptySet("input set is empty")
         if cmd.verb == "gaps":
@@ -175,9 +202,8 @@ def execute(cmd: Command) -> int:
         return _run_remove(cmd, s)
 
     if cmd.verb == "semiorder-check":
-        obj = _read_json(cmd.input_path)
         try:
-            rel = semiorder.from_json_dict(obj)
+            rel = _load(cmd.input_path, semiorder.from_json_dict)
         except semiorder.NotAsymmetric as exc:
             _emit({"verdict": "not_asymmetric", "witness": list(exc.pair)}, cmd.output_path)
             return EX_OK
@@ -191,7 +217,7 @@ def execute(cmd: Command) -> int:
         return EX_OK
 
     if cmd.verb == "synth":
-        rel = semiorder.from_json_dict(_read_json(cmd.input_path))
+        rel = _load(cmd.input_path, semiorder.from_json_dict)
         rep = semiorder.synthesize_ss(rel)
         ok, _ = semiorder.check_ss(rel, rep)
         _emit({**rep.to_json_dict(), "certified": ok}, cmd.output_path)
@@ -232,26 +258,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     except threshold.CertificateFailed as exc:
         print(f"certificate failed: {exc}", file=sys.stderr)
         return EX_CERTIFICATE
-    except ps.InvariantBroken as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EX_SOFTWARE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EX_IO
-    except (
-        MalformedRational,
-        ps.MalformedComponent,
-        ps.EmptySet,
-        ps.NotBad,
-        st.GapTooLong,
-        semiorder.NotASemiorder,
-        semiorder.NotAsymmetric,
-        json.JSONDecodeError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EX_INPUT
+    except Exception as exc:  # ps.InvariantBroken or any other bug
+        import traceback  # imported here to keep it off the start-up path
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 """Strictly increasing piecewise-affine maps with exact rational coefficients.
 
-Pieces are closed intervals that may share endpoints (values must agree there,
-so lookup is unambiguous) and may leave holes where the host set has no
-material.  The two certification predicates work on a finite sample of the
+Pieces are closed intervals in increasing order.  Neighbours may share an
+endpoint, where the right-hand piece gives the value, and may leave holes
+where the host set has no material.  Lookups (``apply``, ``image``,
+``compose``) bisect over each map's and each set's endpoint lists, computed
+once per object on first use, and then walk only the pieces and components
+that overlap.  The two certification predicates work on a finite sample of the
 host set: member endpoints, quartiles, breakpoints and their unit translates.
 The threshold check compares sample pairs only, so it can miss a violation
 whose witness is not sampled (such as a preimage of f(p) + 1).
@@ -11,8 +14,9 @@ whose witness is not sampled (such as a preimage of f(p) + 1).
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -66,20 +70,32 @@ class PLMap:
     domain_hint: ps.PointSet
 
     def __post_init__(self) -> None:
-        # Non-decreasing across boundaries; a shared endpoint resolves to the
-        # right-hand piece in apply(), so equal values there mean continuity.
+        # Pieces are in order and do not overlap, so both endpoint lists are
+        # sorted.  At a shared endpoint apply() takes the right-hand piece,
+        # whose value there may jump above the left-hand piece's but never
+        # falls below it; equal values there mean continuity.
         for a, b in zip(self.pieces, self.pieces[1:]):
             if b.lo < a.hi:
                 raise ValueError(f"overlapping pieces: {a} / {b}")
             if b.value(b.lo) < a.value(a.hi):
                 raise ValueError(f"decreasing across boundary at {a.hi}")
 
+    @cached_property
+    def los(self) -> list[Fraction]:
+        """Lower endpoints of the pieces, non-decreasing."""
+        return [p.lo for p in self.pieces]
+
+    @cached_property
+    def his(self) -> list[Fraction]:
+        """Upper endpoints of the pieces, non-decreasing."""
+        return [p.hi for p in self.pieces]
+
     def apply(self, x: Fraction) -> Fraction:
-        los = [p.lo for p in self.pieces]
-        i = bisect_right(los, x) - 1
-        for j in (i, i + 1):
-            if 0 <= j < len(self.pieces) and self.pieces[j].contains(x):
-                return self.pieces[j].value(x)
+        # The rightmost piece starting at or before x is the only candidate:
+        # any earlier piece ends at or before its start.
+        i = bisect_right(self.los, x) - 1
+        if i >= 0 and self.pieces[i].contains(x):
+            return self.pieces[i].value(x)
         raise OutOfDomain(f"{x} not in the map domain")
 
     def breakpoints(self) -> list[Fraction]:
@@ -126,14 +142,18 @@ def compose(outer: PLMap, inner: PLMap) -> PLMap:
     """Single map equal to outer∘inner, with the refined piece partition.
 
     Only the closure of inner's domain_hint is composed; the outer map may
-    have holes over regions the inner image never reaches.
+    have holes over regions the inner image never reaches.  Each inner piece
+    meets the components that overlap it, and each resulting segment meets
+    the outer pieces that overlap its value range; both runs start by bisection.
     """
+    comps = inner.domain_hint.components
     segments: list[tuple[Fraction, Fraction, AffinePiece]] = []
     for p in inner.pieces:
-        for c in inner.domain_hint.components:
-            a, b = max(p.lo, c.lo), min(p.hi, c.hi)
-            if a <= b:
-                segments.append((a, b, p))
+        i = bisect_left(inner.domain_hint.his, p.lo)
+        while i < len(comps) and comps[i].lo <= p.hi:
+            c = comps[i]
+            i += 1
+            segments.append((max(p.lo, c.lo), min(p.hi, c.hi), p))
     pieces: list[AffinePiece] = []
     for seg_lo, seg_hi, p in segments:
         v_lo, v_hi = p.value(seg_lo), p.value(seg_hi)
@@ -148,15 +168,17 @@ def compose(outer: PLMap, inner: PLMap) -> PLMap:
         # Walk the outer pieces across the value range [v_lo, v_hi].
         covered = v_lo
         first = True
-        for q in outer.pieces:
+        j = bisect_left(outer.his, v_lo)
+        while j < len(outer.pieces) and outer.pieces[j].lo <= v_hi:
+            q = outer.pieces[j]
+            j += 1
             a, b = max(q.lo, v_lo), min(q.hi, v_hi)
-            if a > b:
-                continue
             if (first and a > v_lo) or (not first and a > covered):
                 raise DomainMismatch(f"outer map has a hole inside [{v_lo}, {v_hi}]")
             first = False
-            u = (a - p.intercept) / p.slope
-            v = (b - p.intercept) / p.slope
+            # p maps seg_lo to v_lo and seg_hi to v_hi exactly.
+            u = seg_lo if a == v_lo else (a - p.intercept) / p.slope
+            v = seg_hi if b == v_hi else (b - p.intercept) / p.slope
             if u < v or not pieces or pieces[-1].hi < u:
                 pieces.append(
                     AffinePiece(
@@ -203,10 +225,11 @@ def image(m: PLMap, s: ps.PointSet) -> ps.PointSet:
     for c in s.components:
         covered = c.lo
         any_piece = False
-        for p in m.pieces:
+        j = bisect_left(m.his, c.lo)
+        while j < len(m.pieces) and m.pieces[j].lo <= c.hi:
+            p = m.pieces[j]
+            j += 1
             a, b = max(p.lo, c.lo), min(p.hi, c.hi)
-            if a > b:
-                continue
             if (not any_piece and a > c.lo) or (any_piece and a > covered):
                 raise OutOfDomain(f"component {c} not fully covered")
             any_piece = True

@@ -4,6 +4,10 @@ A set is stored as sorted, disjoint, maximally merged components (intervals
 with endpoint-inclusion flags; a point is the degenerate closed interval).
 Gaps are the maximal complement intervals inside [inf, sup]; a gap is *bad*
 when it is half-open, i.e. exactly one of its endpoints belongs to the set.
+
+Both endpoint lists of a normalized set are strictly increasing, so point
+queries (membership, window probes, closure distances) bisect over them.
+Each set computes the lists once, on first use.
 """
 
 from __future__ import annotations
@@ -11,7 +15,9 @@ from __future__ import annotations
 import enum
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -138,8 +144,22 @@ class PointSet:
     def measure(self) -> Fraction:
         return sum((c.length for c in self.components), Fraction(0))
 
+    @cached_property
+    def los(self) -> list[Fraction]:
+        """Lower endpoints of the components, increasing."""
+        return [c.lo for c in self.components]
+
+    @cached_property
+    def his(self) -> list[Fraction]:
+        """Upper endpoints of the components, increasing."""
+        return [c.hi for c in self.components]
+
     def contains(self, x: Fraction) -> bool:
-        return any(c.contains(x) for c in self.components)
+        # Only the first component reaching x can hold it: a later one starts
+        # at or after that component's end, and a shared endpoint belongs to
+        # neither side (normalize would have merged them otherwise).
+        i = bisect_left(self.his, x)
+        return i < len(self.components) and self.components[i].contains(x)
 
     def to_json_dict(self) -> dict:
         out = []
@@ -298,7 +318,11 @@ def members_in_interval(
 ) -> Optional[list[Fraction]]:
     """Member points of ``s`` inside [lo, hi]; None when uncountably many."""
     found: list[Fraction] = []
-    for c in s.components:
+    comps = s.components
+    i = bisect_left(s.his, lo)
+    while i < len(comps) and comps[i].lo <= hi:
+        c = comps[i]
+        i += 1
         a, b = max(c.lo, lo), min(c.hi, hi)
         if a > b:
             continue
@@ -306,33 +330,25 @@ def members_in_interval(
             return None
         if c.contains(a):
             found.append(a)
-    return sorted(found)
+    return found
 
 
 def closure_gap_below(s: PointSet, x: Fraction) -> Optional[Fraction]:
     """Distance from ``x`` down to the closure of ``s`` below ``x`` (None if no mass below)."""
-    best: Optional[Fraction] = None
-    for c in s.components:
-        if c.lo >= x:
-            break
-        top = min(c.hi, x)
-        d = x - top
-        if best is None or d < best:
-            best = d
-    return best
+    # The last component starting below x reaches highest below it.
+    i = bisect_left(s.los, x)
+    if i == 0:
+        return None
+    return x - min(s.components[i - 1].hi, x)
 
 
 def closure_gap_above(s: PointSet, x: Fraction) -> Optional[Fraction]:
     """Distance from ``x`` up to the closure of ``s`` above ``x`` (None if no mass above)."""
-    best: Optional[Fraction] = None
-    for c in reversed(s.components):
-        if c.hi <= x:
-            break
-        bottom = max(c.lo, x)
-        d = bottom - x
-        if best is None or d < best:
-            best = d
-    return best
+    # The first component ending above x reaches lowest above it.
+    i = bisect_right(s.his, x)
+    if i == len(s.components):
+        return None
+    return max(s.components[i].lo, x) - x
 
 
 # -- JSON ---------------------------------------------------------------------

@@ -3,6 +3,10 @@
 Semiorders: every asymmetric relation on n points filtered by
 ``check_axioms``, and an isomorphism key that tries all n! relabelings.
 
+Lookups: linear-scan versions of the point-set queries, ``PLMap.apply``,
+``plmap.image`` and ``plmap.compose``, which visit every component and every
+piece where the package bisects to the overlapping ones.
+
 Threshold closing maps: a finite search for a threshold-preserving closing map.
 
 Searches monotone rational assignments (denominators up to a bound) on the
@@ -22,6 +26,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
+from gapsmith import plmap
 from gapsmith import pointset as ps
 from gapsmith import semiorder as so
 from gapsmith.pointset import Gap, GapKind
@@ -52,6 +57,143 @@ def canonical_form(strict) -> bytes:
         bytes(strict[p[i]][p[j]] for i in range(n) for j in range(n))
         for p in itertools.permutations(range(n))
     )
+
+
+# -- lookups ---------------------------------------------------------------------
+
+
+def contains(s: ps.PointSet, x: F) -> bool:
+    return any(c.contains(x) for c in s.components)
+
+
+def members_in_interval(s: ps.PointSet, lo: F, hi: F) -> list[F] | None:
+    found: list[F] = []
+    for c in s.components:
+        a, b = max(c.lo, lo), min(c.hi, hi)
+        if a > b:
+            continue
+        if a < b:
+            return None
+        if c.contains(a):
+            found.append(a)
+    return sorted(found)
+
+
+def closure_gap_below(s: ps.PointSet, x: F) -> F | None:
+    best = None
+    for c in s.components:
+        if c.lo >= x:
+            break
+        d = x - min(c.hi, x)
+        if best is None or d < best:
+            best = d
+    return best
+
+
+def closure_gap_above(s: ps.PointSet, x: F) -> F | None:
+    best = None
+    for c in reversed(s.components):
+        if c.hi <= x:
+            break
+        d = max(c.lo, x) - x
+        if best is None or d < best:
+            best = d
+    return best
+
+
+def apply(m: plmap.PLMap, x: F) -> F:
+    """Value of the rightmost piece containing ``x``."""
+    for p in reversed(m.pieces):
+        if p.contains(x):
+            return p.value(x)
+    raise plmap.OutOfDomain(f"{x} not in the map domain")
+
+
+def image(m: plmap.PLMap, s: ps.PointSet) -> ps.PointSet:
+    parts: list[ps.Component] = []
+    for c in s.components:
+        covered = c.lo
+        any_piece = False
+        for p in m.pieces:
+            a, b = max(p.lo, c.lo), min(p.hi, c.hi)
+            if a > b:
+                continue
+            if (not any_piece and a > c.lo) or (any_piece and a > covered):
+                raise plmap.OutOfDomain(f"component {c} not fully covered")
+            any_piece = True
+            covered = b
+            va, vb = p.value(a), p.value(b)
+            if a == b:
+                if c.contains(a):
+                    parts.append(ps.point(va))
+                continue
+            lo_cl = c.lo_closed if a == c.lo else True
+            hi_cl = c.hi_closed if b == c.hi else True
+            if va == vb:
+                parts.append(ps.point(va))
+            else:
+                parts.append(ps.Component(va, vb, lo_cl, hi_cl))
+        if not any_piece or covered < c.hi:
+            raise plmap.OutOfDomain(f"component {c} not fully covered")
+    return ps.normalize(parts)
+
+
+def compose(outer: plmap.PLMap, inner: plmap.PLMap) -> plmap.PLMap:
+    segments = []
+    for p in inner.pieces:
+        for c in inner.domain_hint.components:
+            a, b = max(p.lo, c.lo), min(p.hi, c.hi)
+            if a <= b:
+                segments.append((a, b, p))
+    pieces: list[plmap.AffinePiece] = []
+    for seg_lo, seg_hi, p in segments:
+        v_lo, v_hi = p.value(seg_lo), p.value(seg_hi)
+        if p.slope == 0 or seg_lo == seg_hi:
+            try:
+                w = apply(outer, v_lo)
+            except plmap.OutOfDomain as exc:
+                raise plmap.DomainMismatch(str(exc)) from exc
+            if seg_lo < seg_hi or not pieces or pieces[-1].hi < seg_lo:
+                pieces.append(plmap.AffinePiece(seg_lo, seg_hi, F(0), w, tag=p.tag))
+            continue
+        covered = v_lo
+        first = True
+        for q in outer.pieces:
+            a, b = max(q.lo, v_lo), min(q.hi, v_hi)
+            if a > b:
+                continue
+            if (first and a > v_lo) or (not first and a > covered):
+                raise plmap.DomainMismatch(f"outer map has a hole inside [{v_lo}, {v_hi}]")
+            first = False
+            u = (a - p.intercept) / p.slope
+            v = (b - p.intercept) / p.slope
+            if u < v or not pieces or pieces[-1].hi < u:
+                pieces.append(
+                    plmap.AffinePiece(
+                        u, v, q.slope * p.slope, q.slope * p.intercept + q.intercept,
+                        tag=p.tag or q.tag,
+                    )
+                )
+            covered = b
+        if first or covered < v_hi:
+            raise plmap.DomainMismatch(f"inner image [{v_lo}, {v_hi}] not covered")
+    pieces.sort(key=lambda q: (q.lo, q.hi))
+    deduped: list[plmap.AffinePiece] = []
+    for q in pieces:
+        if deduped and q.lo < deduped[-1].hi:
+            continue
+        if deduped and q.lo == q.hi == deduped[-1].hi:
+            continue
+        deduped.append(q)
+    merged: list[plmap.AffinePiece] = []
+    for q in deduped:
+        last = merged[-1] if merged else None
+        if (last and last.hi == q.lo and last.slope == q.slope
+                and last.intercept == q.intercept):
+            merged[-1] = plmap.AffinePiece(last.lo, q.hi, last.slope, last.intercept, last.tag)
+        else:
+            merged.append(q)
+    return plmap.PLMap(tuple(merged), inner.domain_hint)
 
 
 def _grid(lo: F, hi: F, max_den: int) -> list[F]:

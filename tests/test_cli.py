@@ -166,6 +166,47 @@ def test_internal_error_exit_70(tmp_path, monkeypatch):
     assert cli.main(["remove", "--mode", "strong", "--input", inp]) == 70
 
 
+def test_internal_value_error_exit_70(tmp_path, monkeypatch):
+    # A ValueError raised inside a removal is a bug, not invalid input.
+    def broken(outer, inner):
+        raise ValueError("overlapping pieces")
+
+    monkeypatch.setattr(plmap, "compose", broken)
+    inp = _write_set(tmp_path, figure1())
+    assert cli.main(["remove", "--mode", "weak", "--input", inp]) == 70
+
+
+@pytest.mark.parametrize(
+    "verb, body",
+    [
+        ("gaps", []),
+        ("gaps", {"components": [{"kind": "interval", "lo": "0"}]}),
+        ("gaps", {"components": [{"kind": "point", "at": 1}]}),
+        ("gaps", {"components": ["point"]}),
+        ("synth", {"n": 2, "strict": [[False, True]]}),
+        ("synth", {"n": "two", "strict": []}),
+        ("semiorder-check", {"strict": []}),
+    ],
+)
+def test_malformed_json_exit_4(tmp_path, verb, body):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(body))
+    assert cli.main([verb, "--input", str(path)]) == 4
+
+
+def test_undecodable_input_exit_4(tmp_path):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"components": ["\xff"]}')
+    assert cli.main(["gaps", "--input", str(latin1)]) == 4
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.main(["gaps", "--input", str(deep)]) == 4
+
+
+def test_enumerate_nonpositive_n_usage():
+    assert cli.main(["enumerate", "--n", "0"]) == 64
+
+
 def test_semiorder_check_verdict_is_data(tmp_path):
     rel = {
         "n": 4,

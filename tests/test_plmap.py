@@ -30,6 +30,20 @@ def test_apply_out_of_domain():
         m.apply(F(2))
 
 
+def test_apply_shared_breakpoint_takes_right_piece():
+    # The map jumps up at 1: the left piece ends at 1, the right starts at 3.
+    s = ps.pointset(ps.interval(0, 2))
+    m = plmap.PLMap(
+        (
+            plmap.AffinePiece(F(0), F(1), F(1), F(0)),
+            plmap.AffinePiece(F(1), F(2), F(1), F(2)),
+        ),
+        s,
+    )
+    assert m.apply(F(1)) == 3
+    assert m.apply(F(1, 2)) == F(1, 2) and m.apply(F(2)) == 4
+
+
 def test_compose_identity_neutral():
     s = ps.pointset(ps.interval(0, F(1, 2), True, False), ps.interval(F(3, 5), 1))
     fmap, img = debreu.remove_one(s, ps.gaps(s)[0])

@@ -36,6 +36,30 @@ def test_normalize_keeps_true_holes():
     assert len(s.components) == 2
 
 
+def test_contains_shared_open_endpoint_is_outside():
+    s = ps.pointset(ps.interval(0, 1, True, False), ps.interval(1, 2, False, True))
+    assert len(s.components) == 2
+    assert not s.contains(F(1))
+    assert s.contains(F(0)) and s.contains(F(2))
+
+
+def test_contains_checks_one_component(monkeypatch):
+    s = ps.pointset(*(ps.interval(2 * k, 2 * k + 1) for k in range(1000)))
+    calls = []
+    original = ps.Component.contains
+
+    def counted(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(ps.Component, "contains", counted)
+    for x in (F(-1), F(0), F(1001, 2), F(1501), F(1998), F(1999), F(2000)):
+        calls.clear()
+        expected = any(original(c, x) for c in s.components)
+        assert s.contains(x) == expected
+        assert len(calls) <= 1, x
+
+
 def test_malformed_component():
     with pytest.raises(ps.MalformedComponent):
         ps.Component(F(1), F(0), True, True)
