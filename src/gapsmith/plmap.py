@@ -5,10 +5,13 @@ endpoint, where the right-hand piece gives the value, and may leave holes
 where the host set has no material.  Lookups (``apply``, ``image``,
 ``compose``) bisect over each map's and each set's endpoint lists, computed
 once per object on first use, and then walk only the pieces and components
-that overlap.  The two certification predicates work on a finite sample of the
-host set: member endpoints, quartiles, breakpoints and their unit translates.
-The threshold check compares sample pairs only, so it can miss a violation
-whose witness is not sampled (such as a preimage of f(p) + 1).
+that overlap.
+
+The two certificates, strict increase and x+1 < y <=> f(x)+1 < f(y), are
+decided exactly over the whole host set, not on a sample.  Both run on its
+atoms: the member points and the open stretches between consecutive piece
+ends, on each of which the map is affine.  With A atoms and P pieces the
+work is O(A log P).  A failing check returns a witness pair of members.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from itertools import groupby
+from typing import NamedTuple, Optional, Sequence
 
 from . import pointset as ps
 from .rationals import format_rational, parse_rational
@@ -90,20 +94,22 @@ class PLMap:
         """Upper endpoints of the pieces, non-decreasing."""
         return [p.hi for p in self.pieces]
 
-    def apply(self, x: Fraction) -> Fraction:
+    @cached_property
+    def domain_atoms(self) -> list[Atom]:
+        """``domain_hint`` cut at every piece end (see :func:`atoms`)."""
+        return atoms(self, self.domain_hint)
+
+    def piece_at(self, x: Fraction) -> AffinePiece:
+        """The piece that gives the value at ``x``."""
         # The rightmost piece starting at or before x is the only candidate:
         # any earlier piece ends at or before its start.
         i = bisect_right(self.los, x) - 1
         if i >= 0 and self.pieces[i].contains(x):
-            return self.pieces[i].value(x)
+            return self.pieces[i]
         raise OutOfDomain(f"{x} not in the map domain")
 
-    def breakpoints(self) -> list[Fraction]:
-        pts: set[Fraction] = set()
-        for p in self.pieces:
-            pts.add(p.lo)
-            pts.add(p.hi)
-        return sorted(pts)
+    def apply(self, x: Fraction) -> Fraction:
+        return self.piece_at(x).value(x)
 
     def to_json_dict(self) -> dict:
         return {
@@ -252,42 +258,194 @@ def image(m: PLMap, s: ps.PointSet) -> ps.PointSet:
     return ps.normalize(parts)
 
 
-def certificate_points(
-    m: PLMap, s: ps.PointSet, extra: Iterable[Fraction] = ()
-) -> list[Fraction]:
-    pts = set(ps.sample_points(s))
-    pts.update(x for x in extra if s.contains(x))
-    pts.update(x for x in m.breakpoints() if s.contains(x))
-    for x in list(pts):
-        for shifted in (x - 1, x + 1):
-            if s.contains(shifted):
-                pts.add(shifted)
-    return sorted(pts)
+# -- certificates -------------------------------------------------------------
+
+
+class Atom(NamedTuple):
+    """A member point of the set (lo == hi), or an open stretch (lo, hi) of it
+    inside one piece; ``piece`` gives the map's value there.  ``bottom`` and
+    ``top`` are the map's inf and sup on the atom: its values at lo and hi,
+    limits on a stretch (whose slope is >= 0)."""
+
+    lo: Fraction
+    hi: Fraction
+    piece: AffinePiece
+    bottom: Fraction
+    top: Fraction
+
+    @property
+    def is_point(self) -> bool:
+        return self.lo == self.hi
+
+
+def atoms(m: PLMap, s: ps.PointSet) -> list[Atom]:
+    """``s`` cut at every piece end inside it, in increasing order.
+
+    Raises OutOfDomain where the map does not cover ``s``.
+    """
+
+    def point(t: Fraction) -> Atom:
+        p = m.piece_at(t)
+        v = p.value(t)
+        return Atom(t, t, p, v, v)
+
+    out: list[Atom] = []
+    for c in s.components:
+        cuts = [c.lo]
+        j = bisect_left(m.his, c.lo)
+        while j < len(m.pieces) and m.pieces[j].lo < c.hi:
+            for e in (m.pieces[j].lo, m.pieces[j].hi):
+                if cuts[-1] < e < c.hi:
+                    cuts.append(e)
+            j += 1
+        cuts.append(c.hi)
+        if c.lo_closed:
+            out.append(point(c.lo))
+        for a, b in zip(cuts, cuts[1:]):
+            if a < b:
+                p = m.piece_at((a + b) / 2)
+                out.append(Atom(a, b, p, p.value(a), p.value(b)))
+                if b < c.hi or c.hi_closed:
+                    out.append(point(b))
+    return out
+
+
+def _past_root(m: Fraction, hm: Fraction, u: Fraction, hu: Fraction) -> Fraction:
+    """A point strictly between m and u where the affine h with h(m) = hm <= 0
+    and h(u) = hu > 0 is positive."""
+    root = m + (u - m) * hm / (hm - hu)
+    return (root + u) / 2
+
+
+def _where(lo: Fraction, hi: Fraction, piece: AffinePiece, c: Fraction, above: bool) -> Fraction:
+    """A member of the point lo = hi, or of the open (lo, hi), where the
+    piece's value is > c (above) or <= c (not above).
+
+    One must exist: for ``above`` the value at hi exceeds c; otherwise the
+    value at lo is below c, or equals c on a point or a flat stretch.
+    """
+    if lo == hi:
+        return lo
+    mid = (lo + hi) / 2
+    v = piece.value(mid)
+    if (v > c) if above else (v <= c):
+        return mid
+    if above:
+        return _past_root(mid, v - c, hi, piece.value(hi) - c)
+    return _past_root(mid, c - v, lo, c - piece.value(lo))
+
+
+def increase_witness(parts: list[Atom]) -> Optional[tuple[Fraction, Fraction]]:
+    """Decide strict increase; on failure a member pair x < y with f(x) >= f(y)."""
+    for a in parts:
+        if not a.is_point and a.piece.slope <= 0:
+            x = (a.lo + a.hi) / 2
+            return x, (x + a.hi) / 2
+    for a, b in zip(parts, parts[1:]):
+        # A stretch never attains its bound, so it may meet its neighbour's.
+        if a.top > b.bottom or (a.top == b.bottom and a.is_point and b.is_point):
+            c = (a.top + b.bottom) / 2
+            return (
+                _where(a.lo, a.hi, a.piece, c, above=True),
+                _where(b.lo, b.hi, b.piece, c, above=False),
+            )
+    return None
+
+
+def threshold_witness(parts: list[Atom]) -> Optional[tuple[Fraction, Fraction]]:
+    """Decide x+1 < y  <=>  f(x)+1 < f(y) over all members x, y of the atoms.
+
+    The map never decreases (PLMap rejects a falling boundary), so for a
+    member x and c = f(x)+1 the property at x says: the map is at most c up
+    to x+1 (its sup there is the last atom's top, or f(x+1) inside a stretch)
+    and above c past x+1 (its inf there is the next atom's bottom).  The
+    critical points are the atom ends and their -1 translates.  Between two
+    consecutive ones x stays in one stretch and x+1 in one stretch or one
+    gap, so c and both bounds are affine in x: the midpoint and the limits at
+    the two ends decide the whole open interval.  Points are visited in
+    increasing order, so x and x+1 are located by two forward cursors.
+    """
+    n = len(parts)
+
+    def advance(j: int, z: Fraction) -> int:
+        """The number of atoms at or below z, counting on from j."""
+        while j < n and parts[j].hi <= z:
+            j += 1
+        return j
+
+    def bounds(x: Fraction, inside: Optional[Atom], j: int):
+        """(sup of f up to x+1, inf of f past x+1 or None, whether it is attained),
+        where ``inside`` is the stretch holding x+1 and ``j`` atoms lie at or below it."""
+        if inside is not None:
+            v = inside.piece.value(x + 1)
+            return v, v, inside.piece.slope == 0
+        if j == n:
+            return parts[j - 1].top, None, False
+        above = parts[j]
+        return parts[j - 1].top, above.bottom, above.is_point or above.piece.slope == 0
+
+    def partner(x: Fraction, c: Fraction, inside: Optional[Atom], j: int):
+        """A member y with (x, y) breaking the property, where c = f(x)+1, or None."""
+        top, bottom, attained = bounds(x, inside, j)
+        if top > c:
+            if inside is not None:
+                return x + 1
+            below = parts[j - 1]
+            return _where(below.lo, below.hi, below.piece, c, above=True)
+        if bottom is not None and (bottom < c or (bottom == c and attained)):
+            if inside is not None:
+                return _where(x + 1, inside.hi, inside.piece, c, above=False)
+            return _where(parts[j].lo, parts[j].hi, parts[j].piece, c, above=False)
+        return None
+
+    # Both runs are already sorted, so sorting merges them in linear time.
+    ends = [e for a in parts for e in (a.lo, a.hi)]
+    critical = [e for e, _ in groupby(sorted(ends + [e - 1 for e in ends]))]
+    jx = jz = 0
+    for p, q in zip(critical, critical[1:] + [None]):
+        for x in (p,) if q is None else (p, (p + q) / 2):
+            jx = advance(jx, x)
+            if jx < n and parts[jx].lo < x:
+                a = parts[jx]
+            elif jx and parts[jx - 1].lo == x:
+                a = parts[jx - 1]
+            else:
+                continue  # x is not a member
+            jz = advance(jz, x + 1)
+            inside = parts[jz] if jz < n and parts[jz].lo < x + 1 else None
+            c = a.piece.value(x) + 1
+            y = partner(x, c, inside, jz)
+            if y is not None:
+                return x, y
+            if x == p:
+                continue
+            # x is the midpoint of (p, q): a violation elsewhere in (p, q) shows
+            # as one of the affine excesses turning positive at p or at q.
+            top, bottom, _ = bounds(x, inside, jz)
+            for u in (p, q):
+                top_u, bottom_u, _ = bounds(u, inside, jz)
+                c_u = a.piece.value(u) + 1
+                excesses = [(top - c, top_u - c_u)]
+                if bottom is not None:
+                    excesses.append((c - bottom, c_u - bottom_u))
+                for h_x, h_u in excesses:
+                    if h_u > 0:
+                        w = _past_root(x, h_x, u, h_u)
+                        return w, partner(w, a.piece.value(w) + 1, inside, jz)
+    return None
 
 
 def is_strictly_increasing_on(
-    m: PLMap, s: ps.PointSet, extra: Iterable[Fraction] = ()
+    m: PLMap, s: ps.PointSet
 ) -> tuple[bool, Optional[tuple[Fraction, Fraction]]]:
-    """Strict monotonicity over the certificate sample; witness pair on failure."""
-    pts = certificate_points(m, s, extra)
-    vals = [m.apply(x) for x in pts]
-    for (x, fx), (y, fy) in zip(zip(pts, vals), zip(pts[1:], vals[1:])):
-        if fx >= fy:
-            return False, (x, y)
-    return True, None
+    """Decide strict increase on ``s``; on failure a member pair x < y with f(x) >= f(y)."""
+    witness = increase_witness(atoms(m, s))
+    return witness is None, witness
 
 
 def threshold_equiv(
-    m: PLMap, s: ps.PointSet, extra: Iterable[Fraction] = ()
+    m: PLMap, s: ps.PointSet
 ) -> tuple[bool, Optional[tuple[Fraction, Fraction]]]:
-    """Check x+1 < y  <=>  f(x)+1 < f(y) over all certificate sample pairs."""
-    pts = certificate_points(m, s, extra)
-    vals = [m.apply(x) for x in pts]
-    k = len(pts)
-    for i in range(k):
-        for j in range(i + 1, k):
-            before = pts[i] + 1 < pts[j]
-            after = vals[i] + 1 < vals[j]
-            if before != after:
-                return False, (pts[i], pts[j])
-    return True, None
+    """Decide x+1 < y  <=>  f(x)+1 < f(y) on ``s``; on failure a member pair breaking it."""
+    witness = threshold_witness(atoms(m, s))
+    return witness is None, witness

@@ -13,8 +13,10 @@ four affine families on the unit grid anchored at w:
   singleton's image dictated by the unit-shift identity).
 
 Beyond the terminal depth the whole map repeats with period one, so the
-threshold relation is preserved against arbitrary deep structure.  A failed
-certificate aborts; the threshold one is sampled and can miss a violation.
+threshold relation is preserved against arbitrary deep structure.  Every
+produced map is certified exactly (strict increase, then threshold
+equivalence, over the whole set); a failed certificate aborts with a witness
+pair.  The ledger's ``sup_norm`` is the exact sup of |f(t) - t| over the set.
 """
 
 from __future__ import annotations
@@ -50,13 +52,15 @@ class CertificateFailed(RuntimeError):
         super().__init__(f"{kind} certificate failed at {witness}")
 
 
-def _certify(fmap: plmap.PLMap, s: PointSet) -> None:
-    """Both hard postconditions, strict increase first; raise on the first failure."""
-    ok, witness = plmap.is_strictly_increasing_on(fmap, s)
-    if not ok:
+def _certify(fmap: plmap.PLMap) -> None:
+    """Both hard postconditions on the map's domain, strict increase first;
+    raise on the first failure."""
+    parts = fmap.domain_atoms
+    witness = plmap.increase_witness(parts)
+    if witness is not None:
         raise CertificateFailed("strict_increase", witness)
-    ok, witness = plmap.threshold_equiv(fmap, s)
-    if not ok:
+    witness = plmap.threshold_witness(parts)
+    if witness is not None:
         raise CertificateFailed("threshold_equivalence", witness)
 
 
@@ -304,16 +308,19 @@ def apply_plan(s: PointSet, plan: ThresholdPlan) -> tuple[plmap.PLMap, PointSet]
     """Apply the plan; a failed certificate raises CertificateFailed."""
     fmap = plmap.PLMap(plan.pieces, s)
     img = plmap.image(fmap, s)
-    _certify(fmap, s)
+    _certify(fmap)
     if fmap.apply(plan.gap.lo) != fmap.apply(plan.gap.hi):
         raise CertificateFailed("gap_not_closed", (plan.gap.lo, plan.gap.hi))
     return fmap, img
 
 
-def sup_norm(fmap: plmap.PLMap, s: PointSet) -> Fraction:
-    """Exact sup of |f(t) - t| over the certificate sample of ``s``."""
-    pts = plmap.certificate_points(fmap, s)
-    return max(abs(fmap.apply(t) - t) for t in pts)
+def sup_norm(fmap: plmap.PLMap) -> Fraction:
+    """Exact sup of |f(t) - t| over the map's domain.
+
+    On each atom f(t) - t is affine, so its absolute value peaks at an end
+    (a limit at an open one).
+    """
+    return max(max(abs(a.bottom - a.lo), abs(a.top - a.hi)) for a in fmap.domain_atoms)
 
 
 def _closed_end(g: Gap) -> Fraction:
@@ -366,7 +373,7 @@ class _Removal:
                 )
         plan = plan_gap(self.current, cur_gap, ctx)
         fmap, nxt = apply_plan(self.current, plan)
-        norm = sup_norm(fmap, self.current)
+        norm = sup_norm(fmap)
         self.current = nxt
         self.gmap = plmap.compose(fmap, self.gmap)
         self.ledger.append(norm)
@@ -380,7 +387,7 @@ class _Removal:
         for g in ps.bad_gaps(self.current):
             if eps0 is None or g.length >= eps0:
                 raise InvariantBroken(f"removal left the bad gap {g}")
-        _certify(self.gmap, self.s)
+        _certify(self.gmap)
         self.ledger.append(Fraction(0))
         trace = ScheduleTrace(
             interval_order=tuple(self.visited),

@@ -7,6 +7,9 @@ Lookups: linear-scan versions of the point-set queries, ``PLMap.apply``,
 ``plmap.image`` and ``plmap.compose``, which visit every component and every
 piece where the package bisects to the overlapping ones.
 
+Certificates: the threshold and strict-increase properties of a map checked
+on every point of a dense grid of the set, and the witness contract.
+
 Threshold closing maps: a finite search for a threshold-preserving closing map.
 
 Searches monotone rational assignments (denominators up to a bound) on the
@@ -194,6 +197,55 @@ def compose(outer: plmap.PLMap, inner: plmap.PLMap) -> plmap.PLMap:
         else:
             merged.append(q)
     return plmap.PLMap(tuple(merged), inner.domain_hint)
+
+
+# -- certificates ----------------------------------------------------------------
+
+
+def grid_members(m: plmap.PLMap, s: ps.PointSet, step: F) -> tuple[list[F], list[F]]:
+    """The members of ``s`` on the ``step`` grid and their values under ``m``."""
+    count = int((s.sup - s.inf) / step) + 1
+    xs = [t for t in (s.inf + k * step for k in range(count)) if contains(s, t)]
+    return xs, [apply(m, x) for x in xs]
+
+
+def increase_violation_on_grid(m: plmap.PLMap, s: ps.PointSet, step: F) -> tuple[F, F] | None:
+    """Two neighbouring grid members x < y with f(x) >= f(y)."""
+    xs, fs = grid_members(m, s, step)
+    for i in range(len(xs) - 1):
+        if fs[i] >= fs[i + 1]:
+            return xs[i], xs[i + 1]
+    return None
+
+
+def threshold_violation_on_grid(m: plmap.PLMap, s: ps.PointSet, step: F) -> tuple[F, F] | None:
+    """A grid pair breaking x+1 < y <=> f(x)+1 < f(y), found by bisecting x+1
+    into the grid and comparing f(x)+1 with the largest value at or below it
+    and the smallest beyond it."""
+    xs, fs = grid_members(m, s, step)
+    most = list(itertools.accumulate(fs, max))
+    least = list(itertools.accumulate(reversed(fs), min))[::-1]
+    for x, fx in zip(xs, fs):
+        j = bisect_right(xs, x + 1)
+        if most[j - 1] > fx + 1 or (j < len(xs) and least[j] <= fx + 1):
+            return next((x, y) for y, fy in zip(xs, fs) if (x + 1 < y) != (fx + 1 < fy))
+    return None
+
+
+def breaks_increase(m: plmap.PLMap, s: ps.PointSet, pair: tuple[F, F]) -> bool:
+    """True iff ``pair`` is a pair of members x < y with f(x) >= f(y)."""
+    x, y = pair
+    return contains(s, x) and contains(s, y) and x < y and apply(m, x) >= apply(m, y)
+
+
+def breaks_threshold(m: plmap.PLMap, s: ps.PointSet, pair: tuple[F, F]) -> bool:
+    """True iff ``pair`` is a pair of members with x+1 < y but not f(x)+1 < f(y), or back."""
+    x, y = pair
+    return (
+        contains(s, x)
+        and contains(s, y)
+        and (x + 1 < y) != (apply(m, x) + 1 < apply(m, y))
+    )
 
 
 def _grid(lo: F, hi: F, max_den: int) -> list[F]:

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from gapsmith import plmap
 from gapsmith import pointset as ps
 
 
@@ -49,6 +50,23 @@ def figure4() -> ps.PointSet:
         ps.interval(F(1, 10), F(1, 2), False, False),
         ps.interval(1, F(7, 5), True, True),
     )
+
+
+def sampled_counterexample():
+    """S = [0, 3/8) u (7/4, 19/8] with slope 3 on the first component.
+
+    x = 0 and y = 11/32 break x+1 < y <=> f(x)+1 < f(y), yet no pair of
+    endpoints, quartiles, breakpoints and their unit translates does.
+    """
+    s = ps.pointset(
+        ps.interval(0, F(3, 8), True, False),
+        ps.interval(F(7, 4), F(19, 8), False, True),
+    )
+    pieces = (
+        plmap.AffinePiece(F(0), F(3, 8), F(3), F(0)),
+        plmap.AffinePiece(F(7, 4), F(19, 8), F(1), F(3, 8)),
+    )
+    return plmap.PLMap(pieces, s), s
 
 
 FIGURES = {"figure1": figure1, "figure2": figure2, "figure3": figure3, "figure4": figure4}

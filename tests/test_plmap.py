@@ -5,6 +5,7 @@ import pytest
 
 from gapsmith import debreu, plmap
 from gapsmith import pointset as ps
+from conftest import sampled_counterexample
 
 
 def _identity_on(lo, hi):
@@ -108,7 +109,7 @@ def test_strictly_increasing_constant_witness():
     s = ps.pointset(ps.interval(0, 1))
     m = plmap.PLMap((plmap.AffinePiece(F(0), F(1), F(0), F(0)),), s)
     ok, witness = plmap.is_strictly_increasing_on(m, s)
-    assert not ok and witness == (F(0), F(1, 4))
+    assert not ok and witness == (F(1, 2), F(3, 4))
 
 
 def test_strictly_increasing_fuse_map():
@@ -131,33 +132,17 @@ def test_threshold_equiv_scaling_witness():
     assert not ok and witness == (F(0), F(3, 5))
 
 
-def _sampled_counterexample():
-    # S = [0, 3/8) u (7/4, 19/8] with slope 3 on the first component.
-    s = ps.pointset(
-        ps.interval(0, F(3, 8), True, False),
-        ps.interval(F(7, 4), F(19, 8), False, True),
-    )
-    pieces = (
-        plmap.AffinePiece(F(0), F(3, 8), F(3), F(0)),
-        plmap.AffinePiece(F(7, 4), F(19, 8), F(1), F(3, 8)),
-    )
-    return plmap.PLMap(pieces, s), s
-
-
 def test_sampled_counterexample_violates_threshold():
-    m, s = _sampled_counterexample()
+    m, s = sampled_counterexample()
     x, y = F(0), F(11, 32)
     assert s.contains(x) and s.contains(y) and not x + 1 < y
     assert m.apply(x) + 1 < m.apply(y)  # f(y) = 33/32 > f(x) + 1
 
 
-@pytest.mark.xfail(
-    strict=True, reason="threshold_equiv checks a finite sample that misses x=0, y=11/32"
-)
 def test_threshold_equiv_rejects_violation_between_samples():
-    m, s = _sampled_counterexample()
-    ok, _ = plmap.threshold_equiv(m, s)
-    assert not ok
+    m, s = sampled_counterexample()
+    ok, witness = plmap.threshold_equiv(m, s)
+    assert not ok and witness == (F(0), F(17, 48))
 
 
 def test_json_roundtrip():

@@ -10,7 +10,7 @@ from gapsmith import plmap, threshold as th
 from gapsmith import pointset as ps
 from gapsmith import structure as st
 from conftest import FIGURES, figure1, figure2, random_pass_instance
-from bruteforce import exists_threshold_closing_map
+from bruteforce import breaks_threshold, exists_threshold_closing_map
 
 DATA = Path(__file__).parent / "data"
 
@@ -77,7 +77,8 @@ def test_apply_plan_corruption_caught():
     broken = dataclasses.replace(plan, pieces=tuple(pieces))
     with pytest.raises(th.CertificateFailed) as err:
         th.apply_plan(s, broken)
-    assert err.value.witness is not None
+    assert err.value.kind == "threshold_equivalence"
+    assert breaks_threshold(plmap.PLMap(broken.pieces, s), s, err.value.witness)
 
 
 def test_shift_identity_on_lambda_and_contraction_families():
@@ -176,7 +177,7 @@ def test_remove_epsilon_ledger_decreasing_to_zero():
     )
     gmap, final, trace = th.remove_epsilon(s, F(1, 100))
     ledger = trace.sup_norm_ledger
-    assert ledger[-1] == 0
+    assert ledger == (F(3, 20), F(2, 17), F(1, 15), F(0))
     assert all(a > b for a, b in zip(ledger, ledger[1:]))
 
 
