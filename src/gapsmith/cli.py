@@ -207,13 +207,7 @@ def execute(cmd: Command) -> int:
         except semiorder.NotAsymmetric as exc:
             _emit({"verdict": "not_asymmetric", "witness": list(exc.pair)}, cmd.output_path)
             return EX_OK
-        verdict = semiorder.check_axioms(rel.strict)
-        payload: dict = {"verdict": verdict.kind}
-        if isinstance(verdict, semiorder.Violates1):
-            payload["witness"] = [verdict.x, verdict.y, verdict.z, verdict.t]
-        elif isinstance(verdict, semiorder.Violates2):
-            payload["witness"] = [verdict.x, verdict.y, verdict.z, verdict.w]
-        _emit(payload, cmd.output_path)
+        _emit(semiorder.check_axioms(rel.strict).to_json_dict(), cmd.output_path)
         return EX_OK
 
     if cmd.verb == "synth":

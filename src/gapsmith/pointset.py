@@ -360,12 +360,10 @@ def component_from_json(obj: dict) -> Component:
         at = parse_rational(obj["at"])
         return Component(at, at, True, True)
     if kind == "interval":
-        return Component(
-            parse_rational(obj["lo"]),
-            parse_rational(obj["hi"]),
-            bool(obj["lo_closed"]),
-            bool(obj["hi_closed"]),
-        )
+        flags = obj["lo_closed"], obj["hi_closed"]
+        if not all(isinstance(f, bool) for f in flags):
+            raise MalformedComponent(f"lo_closed and hi_closed must be true or false: {flags!r}")
+        return Component(parse_rational(obj["lo"]), parse_rational(obj["hi"]), *flags)
     raise MalformedComponent(f"unknown component kind: {kind!r}")
 
 

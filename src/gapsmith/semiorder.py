@@ -1,21 +1,22 @@
 """Finite semiorders: axioms, trace, Scott-Suppes values under threshold 1.
 
-Representations are synthesized by difference constraints solved with
-Bellman-Ford over exact rationals: x < y forces u(y) - u(x) >= 1 + slack,
-incomparability forces |u(y) - u(x)| <= 1, and the trace order is imposed so
-the output is trace-monotone (equal values inside each trace class).
+Representations are synthesized as integers under the threshold k = 2n by
+one Bellman-Ford solve of difference constraints: x < y forces
+u(y) - u(x) >= k + 1, incomparability forces |u(y) - u(x)| <= k, and the
+trace order is imposed so the output is trace-monotone (equal values inside
+each trace class).  Dividing by k gives exact rational values under
+threshold 1.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 
 Matrix = tuple[tuple[bool, ...], ...]
 
@@ -39,7 +40,7 @@ class SynthesisFailed(RuntimeError):
 
 
 class TooLarge(ValueError):
-    """Exhaustive enumeration requested beyond the configured bound."""
+    """Enumeration beyond the bound GAPSMITH_MAX_N, or that bound is malformed."""
 
 
 def _as_matrix(strict) -> Matrix:
@@ -61,9 +62,6 @@ class Semiorder:
                 if self.strict[i][j] and self.strict[j][i]:
                     raise NotAsymmetric(i, j)
 
-    def prec(self, x: int, y: int) -> bool:
-        return self.strict[x][y]
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "strict": [list(row) for row in self.strict]}
 
@@ -76,7 +74,11 @@ def semiorder(n: int, pairs: Iterable[tuple[int, int]]) -> Semiorder:
 
 
 def from_json_dict(obj: dict) -> Semiorder:
-    return Semiorder(int(obj["n"]), _as_matrix(obj["strict"]))
+    """A relation from JSON: ``n`` an integer, every ``strict`` entry a boolean."""
+    n, strict = obj["n"], obj["strict"]
+    if type(n) is not int or not all(isinstance(v, bool) for row in strict for v in row):
+        raise TypeError("n must be an integer and every strict entry true or false")
+    return Semiorder(n, _as_matrix(strict))
 
 
 @dataclass(frozen=True)
@@ -85,9 +87,6 @@ class TraceOrder:
 
     def le(self, x: int, y: int) -> bool:
         return self.weak[x][y]
-
-    def equiv(self, x: int, y: int) -> bool:
-        return self.weak[x][y] and self.weak[y][x]
 
 
 @dataclass(frozen=True)
@@ -100,16 +99,15 @@ class SSRep:
         return {"values": [format_rational(v) for v in self.values]}
 
 
-def ssrep_from_json_dict(obj: dict) -> SSRep:
-    return SSRep(tuple(parse_rational(v) for v in obj["values"]))
-
-
 # -- verdicts ------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Valid:
     kind: str = "valid"
+
+    def to_json_dict(self) -> dict:
+        return {"verdict": self.kind}
 
 
 @dataclass(frozen=True)
@@ -120,6 +118,9 @@ class Violates1:
     t: int
     kind: str = "violates1"
 
+    def to_json_dict(self) -> dict:
+        return {"verdict": self.kind, "witness": [self.x, self.y, self.z, self.t]}
+
 
 @dataclass(frozen=True)
 class Violates2:
@@ -128,6 +129,9 @@ class Violates2:
     z: int
     w: int
     kind: str = "violates2"
+
+    def to_json_dict(self) -> dict:
+        return {"verdict": self.kind, "witness": [self.x, self.y, self.z, self.w]}
 
 
 Verdict = Union[Valid, Violates1, Violates2]
@@ -192,52 +196,46 @@ def check_ss(r: Semiorder, u: SSRep) -> tuple[bool, Optional[tuple[int, int]]]:
 
 
 def synthesize_ss(r: Semiorder) -> SSRep:
-    """Trace-monotone rational representation via shortest-path feasibility."""
+    """Trace-monotone rational representation via one shortest-path solve.
+
+    Every finite semiorder on n points has an integer representation with a
+    threshold of at most n - 2 (Pirlot 1990), so integers under threshold
+    k = 2n always exist; dividing them by k gives values under threshold 1.
+    """
     _require_semiorder(r)
     n = r.n
-    if n == 1:
-        return SSRep((Fraction(0),))
     tr = trace(r)
-    slack = Fraction(1, 2 * n)
-    floor = Fraction(1, 2 * n * math.factorial(n))
-    while slack >= floor:
-        edges: list[tuple[int, int, Fraction]] = []
-        for x in range(n):
-            for y in range(n):
-                if x == y:
-                    continue
-                if r.strict[x][y]:
-                    edges.append((y, x, -(1 + slack)))  # u_x <= u_y - 1 - slack
-                else:
-                    edges.append((x, y, Fraction(1)))  # u_y <= u_x + 1
-                if tr.weak[x][y]:
-                    edges.append((y, x, Fraction(0)))  # u_x <= u_y
-        dist = [Fraction(0)] * n
-        feasible = True
-        for round_ in range(n):
-            changed = False
-            for a, b, wgt in edges:
-                if dist[a] + wgt < dist[b]:
-                    dist[b] = dist[a] + wgt
-                    changed = True
-            if not changed:
-                break
-        else:
-            for a, b, wgt in edges:
-                if dist[a] + wgt < dist[b]:
-                    feasible = False
-                    break
-        if feasible:
-            low = min(dist)
-            rep = SSRep(tuple(v - low for v in dist))
-            ok, witness = check_ss(r, rep)
-            if not ok:
-                raise SynthesisFailed(
-                    f"solver produced an invalid representation: {witness}", witness
-                )
-            return rep
-        slack /= 2
-    raise SynthesisFailed("slack schedule exhausted on a valid semiorder")
+    k = 2 * n
+    edges: list[tuple[int, int, int]] = []
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            if r.strict[x][y]:
+                edges.append((y, x, -(k + 1)))  # u_x <= u_y - k - 1
+            else:
+                edges.append((x, y, k))  # u_y <= u_x + k
+            if tr.weak[x][y]:
+                edges.append((y, x, 0))  # u_x <= u_y
+    dist = [0] * n
+    for _ in range(n + 1):
+        changed = False
+        for a, b, wgt in edges:
+            if dist[a] + wgt < dist[b]:
+                dist[b] = dist[a] + wgt
+                changed = True
+        if not changed:
+            break
+    else:
+        raise SynthesisFailed(f"negative cycle under threshold {k} on a valid semiorder")
+    low = min(dist, default=0)
+    rep = SSRep(tuple(Fraction(v - low, k) for v in dist))
+    ok, witness = check_ss(r, rep)
+    if not ok:
+        raise SynthesisFailed(
+            f"solver produced an invalid representation: {witness}", witness
+        )
+    return rep
 
 
 # -- irreducible decomposition and gluing --------------------------------------
@@ -315,7 +313,11 @@ def glue(parts: Sequence[tuple[Semiorder, SSRep]]) -> SSRep:
 
 
 def _max_n() -> int:
-    return int(os.environ.get("GAPSMITH_MAX_N", "6"))
+    raw = os.environ.get("GAPSMITH_MAX_N", "6")
+    try:
+        return int(raw)
+    except ValueError:
+        raise TooLarge(f"GAPSMITH_MAX_N must be an integer, got {raw!r}") from None
 
 
 def _shapes(n: int) -> list[tuple[int, ...]]:

@@ -186,6 +186,13 @@ def test_internal_value_error_exit_70(tmp_path, monkeypatch):
         ("synth", {"n": 2, "strict": [[False, True]]}),
         ("synth", {"n": "two", "strict": []}),
         ("semiorder-check", {"strict": []}),
+        ("synth", {"n": 2, "strict": [[False, "no"], [False, False]]}),
+        ("synth", {"n": 2.9, "strict": [[False, True], [False, False]]}),
+        (
+            "gaps",
+            {"components": [{"kind": "interval", "lo": "0", "hi": "1",
+                             "lo_closed": "false", "hi_closed": True}]},
+        ),
     ],
 )
 def test_malformed_json_exit_4(tmp_path, verb, body):
@@ -224,6 +231,30 @@ def test_semiorder_check_verdict_is_data(tmp_path):
     assert json.loads(out.read_text())["verdict"] == "violates2"
 
 
+@pytest.mark.parametrize(
+    "pairs, payload",
+    [
+        ([(0, 1), (2, 3)], {"verdict": "violates1", "witness": [0, 1, 2, 3]}),
+        ([(0, 1), (1, 2), (0, 2)], {"verdict": "violates2", "witness": [0, 1, 2, 3]}),
+    ],
+)
+def test_semiorder_check_payload(tmp_path, pairs, payload):
+    strict = [[(i, j) in pairs for j in range(4)] for i in range(4)]
+    path = tmp_path / "rel.json"
+    path.write_text(json.dumps({"n": 4, "strict": strict}))
+    out = tmp_path / "verdict.json"
+    assert cli.main(["semiorder-check", "--input", str(path), "--output", str(out)]) == 0
+    assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+def test_synth_empty_relation(tmp_path):
+    path = tmp_path / "rel.json"
+    path.write_text(json.dumps({"n": 0, "strict": []}))
+    out = tmp_path / "u.json"
+    assert cli.main(["synth", "--input", str(path), "--output", str(out)]) == 0
+    assert json.loads(out.read_text()) == {"values": [], "certified": True}
+
+
 def test_synth_certified(tmp_path):
     rel = {"n": 2, "strict": [[False, True], [False, False]]}
     path = tmp_path / "rel.json"
@@ -234,12 +265,15 @@ def test_synth_certified(tmp_path):
     assert payload["certified"] and len(payload["values"]) == 2
 
 
-def test_enumerate_cap_env(tmp_path, monkeypatch):
+def test_enumerate_cap_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GAPSMITH_MAX_N", "3")
     assert cli.main(["enumerate", "--n", "4"]) == 64
     out = tmp_path / "e.json"
     assert cli.main(["enumerate", "--n", "3", "--iso", "--output", str(out)]) == 0
     assert json.loads(out.read_text())["count"] == 5
+    monkeypatch.setenv("GAPSMITH_MAX_N", "abc")
+    assert cli.main(["enumerate", "--n", "3"]) == 64
+    assert "GAPSMITH_MAX_N" in capsys.readouterr().err
 
 
 def test_invalid_input_exit_4(tmp_path):

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from gapsmith import semiorder as so
 from bruteforce import canonical_form, labeled_semiorders
@@ -71,6 +73,44 @@ def test_check_ss_examples():
 
 def test_synthesize_singleton():
     assert so.synthesize_ss(so.semiorder(1, [])).values == (F(0),)
+
+
+def test_synthesize_empty():
+    r = so.semiorder(0, [])
+    assert so.synthesize_ss(r) == so.SSRep(())
+    assert so.check_ss(r, so.SSRep(())) == (True, None)
+
+
+def test_synthesize_pinned_values():
+    # The integer solve at threshold 2n, divided by 2n.
+    assert so.synthesize_ss(so.semiorder(2, [(0, 1)])).values == (F(0), F(5, 4))
+    assert so.synthesize_ss(so.semiorder(3, [(0, 2)])).values == (F(0), F(1), F(7, 6))
+    r4 = so.semiorder(4, [(0, 2), (0, 3), (1, 3)])
+    assert so.synthesize_ss(r4).values == (F(0), F(1, 8), F(9, 8), F(5, 4))
+
+
+@hs.composite
+def shaped_semiorders(draw):
+    """A relabeled shape: i < j iff j >= f(i), f non-decreasing with i < f(i) <= n."""
+    n = draw(hs.integers(7, 14))
+    f: list[int] = []
+    for i in range(n):
+        f.append(draw(hs.integers(max(f[-1] if f else 0, i + 1), n)))
+    perm = draw(hs.permutations(range(n)))
+    return so.semiorder(n, [(perm[i], perm[j]) for i in range(n) for j in range(f[i], n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(shaped_semiorders())
+def test_synthesize_beyond_enumeration(r):
+    rep = so.synthesize_ss(r)
+    assert so.check_ss(r, rep) == (True, None)
+    t = so.trace(r)
+    for x in range(r.n):
+        for y in range(r.n):
+            if t.weak[x][y]:
+                assert rep.values[x] <= rep.values[y]
+    assert all((v * 2 * r.n).denominator == 1 for v in rep.values)
 
 
 def test_synthesize_pair():
