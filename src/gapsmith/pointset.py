@@ -274,16 +274,26 @@ def sample_points(s: PointSet) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class UnitPartition:
-    """Cover of [inf, sup] by consecutive unit cells I_k = [anchor+k-2, anchor+k-1]."""
+    """Cover of [inf, sup] by consecutive unit cells I_k = [anchor+k-2, anchor+k-1],
+    k = 1-m, ..., n.
+
+    Only the anchor and the two counts are stored, and a cell is arithmetic
+    on them, so a partition costs the same whatever the span.
+    """
 
     anchor: Fraction
     m: int
     n: int
-    intervals: tuple[tuple[int, Fraction, Fraction], ...]
 
     @property
     def t(self) -> int:
         return self.m + self.n
+
+    @property
+    def intervals(self) -> tuple[tuple[int, Fraction, Fraction], ...]:
+        """Every cell as (k, lo, hi), in increasing order: as many as the span
+        has units, so the removals never ask for them."""
+        return tuple((k, *self.cell(k)) for k in range(1 - self.m, self.n + 1))
 
     def cell(self, k: int) -> tuple[Fraction, Fraction]:
         return self.anchor + k - 2, self.anchor + k - 1
@@ -297,10 +307,7 @@ def unit_partition(s: PointSet, anchor: Fraction) -> UnitPartition:
     n = max(0, math.ceil(s.sup - anchor + 1))
     if m + n == 0:
         n = 1
-    cells = tuple(
-        (k, anchor + k - 2, anchor + k - 1) for k in range(-m + 1, n + 1)
-    )
-    return UnitPartition(anchor, m, n, cells)
+    return UnitPartition(anchor, m, n)
 
 
 def reflect(s: PointSet) -> PointSet:

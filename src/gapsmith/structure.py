@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import enum
 import json
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -185,11 +187,25 @@ def _gammas(d: PointSet, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction
 def _translate_chain_ok(
     d: PointSet, u: Fraction, v: Fraction, anchor: Fraction
 ) -> bool:
-    """Unit translates of a pinned flat [u, v]: at most one occupant each,
-    drifting by at most +1 per step relative to the previous occupant."""
+    """Unit translates [u+k, v+k], k >= 1, of a pinned flat [u, v]: at most one
+    occupant each, drifting by at most +1 per step relative to the previous
+    occupant; an empty translate resets the drift.
+
+    Only the translates that meet material are probed.  The next one is
+    found by bisecting to the first component reaching u+k, so the cost
+    follows the components past the flat, not the span.
+    """
     q_prev: Optional[Fraction] = anchor
-    k = 1
-    while u + k <= d.sup:
+    comps = d.components
+    k_prev, k = 0, 1
+    while (i := bisect_left(d.his, u + k)) < len(comps):
+        c = comps[i]
+        if c.lo > v + k:
+            k = math.ceil(c.lo - v)  # the first translate reaching c
+            if u + k > c.hi:
+                continue  # c lies between two translates
+        if k != k_prev + 1:
+            q_prev = None  # the translates skipped were empty
         members = ps.members_in_interval(d, u + k, v + k)
         if members is None or len(members) > 1:
             return False
@@ -200,7 +216,7 @@ def _translate_chain_ok(
             q_prev = q
         else:
             q_prev = None
-        k += 1
+        k_prev, k = k, k + 1
     return True
 
 

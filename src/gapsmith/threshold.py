@@ -12,8 +12,13 @@ four affine families on the unit grid anchored at w:
   (``ContractionC``; split at a window singleton into C1/C2 with the
   singleton's image dictated by the unit-shift identity).
 
-Beyond the terminal depth the whole map repeats with period one, so the
-threshold relation is preserved against arbitrary deep structure.  Every
+Beyond the terminal depth the families repeat with period one, so the
+threshold relation is preserved against arbitrary deep structure.  Plans and
+step maps have pieces only where they meet the closure of the set, on the
+unit cells holding material, and holes elsewhere: the cells are read off the
+component endpoints and the empty ones are jumped over, so the cost of a plan
+follows the material, not the span.  The scheduler likewise visits only the
+one or two cells each bad gap overlaps.  Every
 produced map is certified exactly (strict increase, then threshold
 equivalence, over the whole set); a failed certificate aborts with a witness
 pair.  The ledger's ``sup_norm`` is the exact sup of |f(t) - t| over the set.
@@ -22,6 +27,7 @@ pair.  The ledger's ``sup_norm`` is the exact sup of |f(t) - t| over the set.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -146,6 +152,41 @@ def _azone_value(t: Fraction, r: Fraction, w: Fraction, expand: Fraction) -> Fra
     return Fraction(w - n)
 
 
+def _material_cells(
+    frame: PointSet, origin: Fraction, step: int, first: int, last: int
+) -> list[int]:
+    """Ascending indices j in [first, last] whose closed unit cell, the one
+    with bottom ``origin + step*j``, meets the closure of a component.
+
+    Each component covers a run of indices read off its endpoints, and the
+    components outside the index range are skipped by bisection, so the
+    cost follows the material, not the span.
+    """
+    comps = frame.components
+    if step > 0:
+        near = range(bisect_left(frame.his, origin + first), len(comps))
+    else:
+        near = range(bisect_right(frame.los, origin - first + 1) - 1, -1, -1)
+    out: list[int] = []
+    for i in near:
+        c = comps[i]
+        if step > 0:
+            lo, hi = math.ceil(c.lo - origin) - 1, math.floor(c.hi - origin)
+        else:
+            lo, hi = math.ceil(origin - c.hi), math.floor(origin - c.lo) + 1
+        lo = max(lo, out[-1] + 1 if out else first)
+        if lo > last:
+            break
+        out.extend(range(lo, min(hi, last) + 1))
+    return out
+
+
+def _meets(frame: PointSet, lo: Fraction, hi: Fraction) -> bool:
+    """Whether [lo, hi] meets the closure of a component of ``frame``."""
+    i = bisect_left(frame.his, lo)
+    return i < len(frame.components) and frame.components[i].lo <= hi
+
+
 def _co_pieces(
     frame: PointSet, r: Fraction, w: Fraction, left: ChainInfo, right: ChainInfo
 ) -> tuple[tuple[plmap.AffinePiece, ...], tuple[str, ...]]:
@@ -160,10 +201,12 @@ def _co_pieces(
         return _azone_value(t, r, w, expand)
 
     def add(lo, hi, v_lo, v_hi, tag) -> None:
+        # Only pieces meeting the closure of the material are kept: nothing
+        # reads a map elsewhere (see plmap), and the rest leave holes.
         if lo == hi:
             return
         lo2, hi2 = max(lo, a_lo), min(hi, b_hi)
-        if lo2 >= hi2:
+        if lo2 >= hi2 or not _meets(frame, lo2, hi2):
             return
         slope = (v_hi - v_lo) / (hi - lo)
         pieces.append(plmap.AffinePiece(lo2, hi2, slope, v_lo - slope * lo, tag=tag))
@@ -179,21 +222,15 @@ def _co_pieces(
             "domains so that the pieces tile"
         )
 
-    # Left expansion zone, including the base cell whose flat is the gap itself.
-    n = 0
-    while True:
-        cell_bot = w - 1 - n
-        stretch_lo = cell_bot
+    # Left expansion zone, cells [w-1-n, w-n], including the base cell n = 0
+    # whose flat is the gap itself; it reaches the terminal depth or inf.
+    last = m_left - 1 if m_left is not None else max(0, math.ceil(w - 1 - a_lo))
+    for n in _material_cells(frame, w - 1, -1, 0, last):
+        stretch_lo = w - 1 - n
         if m_left is not None and n == m_left - 1:
             stretch_lo = w - m_left + gr_l
         add(stretch_lo, r - n, az(stretch_lo), w - n, "Lambda1")
         add(r - n, w - n, Fraction(w - n), Fraction(w - n), "Lambda3")
-        n += 1
-        if m_left is not None:
-            if n == m_left:
-                break
-        elif cell_bot <= a_lo:
-            break
 
     if m_left is not None:
         w_lo, w_hi = r - m_left - gl_l, w - m_left + gr_l
@@ -210,27 +247,22 @@ def _co_pieces(
                 window.append((s, w_hi, fs, img_hi, "ContractionC2"))
         for seg in window:
             add(*seg)
+        # The period [w_lo, w_lo + 1] repeats down to inf.
         period_top = r - m_left + 1 - gl_l
         period = window + [(w_hi, period_top, az(w_hi), az(period_top), "Lambda2")]
-        j = 1
-        while period_top - j > a_lo:
+        for j in _material_cells(frame, w_lo, -1, 1, math.ceil(period_top - a_lo) - 1):
             for (u, v, vu, vv, tag) in period:
                 add(u - j, v - j, vu - j, vv - j, tag)
-            j += 1
 
-    # Right expansion zone.
-    if m_right is not None or b_hi > w:
-        n = 1
-        while True:
-            cell_bot = w + n - 1
-            if m_right is None and cell_bot >= b_hi:
-                break
-            if m_right is not None and n == m_right:
-                add(cell_bot, r + n - gl_r, az(cell_bot), az(r + n - gl_r), "Lambda1")
-                break
+    # Right expansion zone, cells [w+n-1, w+n], up to the terminal depth or sup.
+    last = m_right if m_right is not None else math.ceil(b_hi - w + 1) - 1
+    for n in _material_cells(frame, w - 1, 1, 1, last):
+        cell_bot = w + n - 1
+        if n == m_right:
+            add(cell_bot, r + n - gl_r, az(cell_bot), az(r + n - gl_r), "Lambda1")
+        else:
             add(cell_bot, r + n, az(cell_bot), Fraction(w + n), "Lambda1")
             add(r + n, w + n, Fraction(w + n), Fraction(w + n), "Lambda3")
-            n += 1
 
     if m_right is not None:
         w_lo, w_hi = r + m_right - gl_r, w + m_right + gr_r
@@ -247,13 +279,12 @@ def _co_pieces(
                 window.append((s, w_hi, fs, img_hi, "ContractionC2"))
         for seg in window:
             add(*seg)
+        # The period [period_bot, period_bot + 1] repeats up to sup.
         period_bot = w + m_right - 1 + gr_r
         period = [(period_bot, w_lo, az(period_bot), img_lo, "Lambda2")] + window
-        j = 1
-        while period_bot + j < b_hi:
+        for j in _material_cells(frame, period_bot, 1, 1, math.ceil(b_hi - period_bot) - 1):
             for (u, v, vu, vv, tag) in period:
                 add(u + j, v + j, vu + j, vv + j, tag)
-            j += 1
 
     pieces.sort(key=lambda p: (p.lo, p.hi))
     notes.extend(left.notes)
@@ -412,21 +443,25 @@ def _schedule(s: PointSet) -> _Removal:
     cell_gaps: dict[int, list[Gap]] = {}
     for g in bads:
         cell_gaps.setdefault(_cell_of(part, g), []).append(g)
+    # A bad gap is shorter than one unit, so it overlaps one cell or two:
+    # those whose interior it meets.  Cells hit by no gap stay unvisited.
+    hits: list[tuple[int, int, Fraction]] = []
+    for i, g in enumerate(bads):
+        for k in range(math.floor(g.lo - anchor) + 2, math.ceil(g.hi - anchor) + 2):
+            lo, hi = part.cell(k)
+            hits.append((k, i, min(g.hi, hi) - max(g.lo, lo)))
     notes: list[str] = []
     cell_deltas: dict[int, list[Fraction]] = {}
-    for k, lo, hi in part.intervals:
-        parts: list[Fraction] = []
-        for g in bads:
-            overlap = min(g.hi, hi) - max(g.lo, lo)
-            if overlap > 0:
-                parts.append(overlap)
-                if overlap < g.length:
-                    notes.append(
-                        "straddling gap ledgered as two consecutive bad gaps "
-                        f"at the grid point inside [{g.lo}, {g.hi}]"
-                    )
-        if parts:
-            cell_deltas[k] = sorted(parts, reverse=True)
+    for k, i, overlap in sorted(hits):
+        g = bads[i]
+        cell_deltas.setdefault(k, []).append(overlap)
+        if overlap < g.length:
+            notes.append(
+                "straddling gap ledgered as two consecutive bad gaps "
+                f"at the grid point inside [{g.lo}, {g.hi}]"
+            )
+    for parts in cell_deltas.values():
+        parts.sort(reverse=True)
     order = sorted(
         cell_gaps, key=lambda k: (-max(g.length for g in cell_gaps[k]), k)
     )

@@ -10,6 +10,9 @@ piece where the package bisects to the overlapping ones.
 Certificates: the threshold and strict-increase properties of a map checked
 on every point of a dense grid of the set, and the witness contract.
 
+Threshold plans: the plan pieces and the pinned-flat translate chain as they
+were built by walking every unit cell between the gap and inf or sup.
+
 Threshold closing maps: a finite search for a threshold-preserving closing map.
 
 Searches monotone rational assignments (denominators up to a bound) on the
@@ -32,6 +35,7 @@ from fractions import Fraction as F
 from gapsmith import plmap
 from gapsmith import pointset as ps
 from gapsmith import semiorder as so
+from gapsmith import threshold as th
 from gapsmith.pointset import Gap, GapKind
 
 _INF = F(10**9)
@@ -246,6 +250,146 @@ def breaks_threshold(m: plmap.PLMap, s: ps.PointSet, pair: tuple[F, F]) -> bool:
         and contains(s, y)
         and (x + 1 < y) != (apply(m, x) + 1 < apply(m, y))
     )
+
+
+# -- threshold plans ---------------------------------------------------------------
+
+
+def meets_material(s: ps.PointSet, lo: F, hi: F) -> bool:
+    """Whether [lo, hi] meets the closure of some component of ``s``."""
+    return any(c.lo <= hi and lo <= c.hi for c in s.components)
+
+
+def dense_co_pieces(frame, r, w, left, right):
+    """``threshold._co_pieces`` as it walked every unit cell from the gap to
+    inf and sup: the same pieces plus those over cells holding no material."""
+    delta = w - r
+    expand = 1 / (1 - delta)
+    a_lo, b_hi = frame.inf, frame.sup
+    trim = (1 - delta) / 2
+    notes = []
+    pieces = []
+
+    def az(t):
+        return th._azone_value(t, r, w, expand)
+
+    def add(lo, hi, v_lo, v_hi, tag):
+        if lo == hi:
+            return
+        lo2, hi2 = max(lo, a_lo), min(hi, b_hi)
+        if lo2 >= hi2:
+            return
+        slope = (v_hi - v_lo) / (hi - lo)
+        pieces.append(plmap.AffinePiece(lo2, hi2, slope, v_lo - slope * lo, tag=tag))
+
+    m_left = left.m if left.terminal == "b" else None
+    m_right = right.m if right.terminal == "b" else None
+    if m_left is not None:
+        gl_l, gr_l = min(left.gamma_l, trim), min(left.gamma_r, trim)
+    if m_right is not None:
+        gl_r, gr_r = min(right.gamma_l, trim), min(right.gamma_r, trim)
+        notes.append(
+            "right-side expansion strips anchored one unit up from the printed "
+            "domains so that the pieces tile"
+        )
+
+    n = 0
+    while True:
+        cell_bot = w - 1 - n
+        stretch_lo = cell_bot
+        if m_left is not None and n == m_left - 1:
+            stretch_lo = w - m_left + gr_l
+        add(stretch_lo, r - n, az(stretch_lo), w - n, "Lambda1")
+        add(r - n, w - n, F(w - n), F(w - n), "Lambda3")
+        n += 1
+        if m_left is not None:
+            if n == m_left:
+                break
+        elif cell_bot <= a_lo:
+            break
+
+    if m_left is not None:
+        w_lo, w_hi = r - m_left - gl_l, w - m_left + gr_l
+        img_lo, img_hi = w - m_left - gl_l * expand, w - m_left + gr_l * expand
+        window = []
+        if left.singleton is None:
+            window.append((w_lo, w_hi, img_lo, img_hi, "ContractionC"))
+        else:
+            s = left.singleton
+            fs = az(s + 1) - 1
+            if s > w_lo:
+                window.append((w_lo, s, img_lo, fs, "ContractionC1"))
+            if s < w_hi:
+                window.append((s, w_hi, fs, img_hi, "ContractionC2"))
+        for seg in window:
+            add(*seg)
+        period_top = r - m_left + 1 - gl_l
+        period = window + [(w_hi, period_top, az(w_hi), az(period_top), "Lambda2")]
+        j = 1
+        while period_top - j > a_lo:
+            for (u, v, vu, vv, tag) in period:
+                add(u - j, v - j, vu - j, vv - j, tag)
+            j += 1
+
+    if m_right is not None or b_hi > w:
+        n = 1
+        while True:
+            cell_bot = w + n - 1
+            if m_right is None and cell_bot >= b_hi:
+                break
+            if m_right is not None and n == m_right:
+                add(cell_bot, r + n - gl_r, az(cell_bot), az(r + n - gl_r), "Lambda1")
+                break
+            add(cell_bot, r + n, az(cell_bot), F(w + n), "Lambda1")
+            add(r + n, w + n, F(w + n), F(w + n), "Lambda3")
+            n += 1
+
+    if m_right is not None:
+        w_lo, w_hi = r + m_right - gl_r, w + m_right + gr_r
+        img_lo, img_hi = w + m_right - gl_r * expand, w + m_right + gr_r * expand
+        window = []
+        if right.singleton is None:
+            window.append((w_lo, w_hi, img_lo, img_hi, "ContractionC"))
+        else:
+            s = right.singleton
+            fs = az(s - 1) + 1
+            if s > w_lo:
+                window.append((w_lo, s, img_lo, fs, "ContractionC1"))
+            if s < w_hi:
+                window.append((s, w_hi, fs, img_hi, "ContractionC2"))
+        for seg in window:
+            add(*seg)
+        period_bot = w + m_right - 1 + gr_r
+        period = [(period_bot, w_lo, az(period_bot), img_lo, "Lambda2")] + window
+        j = 1
+        while period_bot + j < b_hi:
+            for (u, v, vu, vv, tag) in period:
+                add(u + j, v + j, vu + j, vv + j, tag)
+            j += 1
+
+    pieces.sort(key=lambda p: (p.lo, p.hi))
+    notes.extend(left.notes)
+    notes.extend(right.notes)
+    return tuple(pieces), tuple(dict.fromkeys(notes))
+
+
+def translate_chain_walk(d: ps.PointSet, u: F, v: F, anchor: F) -> bool:
+    """``structure._translate_chain_ok`` probing every unit translate up to sup."""
+    q_prev = anchor
+    k = 1
+    while u + k <= d.sup:
+        members = members_in_interval(d, u + k, v + k)
+        if members is None or len(members) > 1:
+            return False
+        if members:
+            q = members[0]
+            if q_prev is not None and q > q_prev + 1:
+                return False
+            q_prev = q
+        else:
+            q_prev = None
+        k += 1
+    return True
 
 
 def _grid(lo: F, hi: F, max_den: int) -> list[F]:

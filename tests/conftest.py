@@ -185,6 +185,30 @@ def random_pass_instance(rng: random.Random) -> ps.PointSet:
     return s
 
 
+def wide_span(k: int, mirror: bool = False) -> ps.PointSet:
+    """[0, 1/2) u [1, 3/2] u [k, k+1/4], or its mirror image: one bad gap whose
+    plan periods reach the far component across k empty unit cells."""
+    s = ps.pointset(
+        ps.interval(0, F(1, 2), True, False),
+        ps.interval(1, F(3, 2)),
+        ps.interval(k, k + F(1, 4)),
+    )
+    return ps.reflect(s) if mirror else s
+
+
+def pinned_span(k: int, mirror: bool = False) -> ps.PointSet:
+    """[0, 1/2) u [1, 3/2) u {7/4} u [k, k+1/4], or its mirror image.  The
+    first right window of the gap holds 7/4 with a zero left margin (case
+    B112), so the unit translates of the pinned flat [3/2, 7/4] reach k."""
+    s = ps.pointset(
+        ps.interval(0, F(1, 2), True, False),
+        ps.interval(1, F(3, 2), True, False),
+        ps.point(F(7, 4)),
+        ps.interval(k, k + F(1, 4)),
+    )
+    return ps.reflect(s) if mirror else s
+
+
 def fail_corpus() -> list[tuple[ps.PointSet, ps.Gap]]:
     """Provably unrepresentable instances: the target bad gap cannot be closed
     by any strictly increasing map preserving the unit threshold."""

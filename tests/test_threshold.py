@@ -242,6 +242,26 @@ def test_trace_records_straddler_note():
     assert plmap.threshold_equiv(gmap, s) == (True, None)
 
 
+def test_trace_straddler_notes_in_cell_order():
+    # Two straddlers, the larger one in the higher cell: the notes follow the
+    # cells, not the biggest-first order of the gaps.
+    s = ps.pointset(
+        ps.interval(0, F(1, 4), True, False),
+        ps.interval(F(1, 2), F(3, 4)),
+        ps.interval(F(13, 4), F(69, 20), True, False),
+        ps.interval(F(71, 20), F(15, 4)),
+        ps.interval(F(25, 4), F(32, 5), True, False),
+        ps.interval(F(33, 5), F(27, 4)),
+    )
+    trace = th.remove_strong(s)[2]
+    assert [n.rsplit(" inside ", 1)[1] for n in trace.notes if "straddling" in n] == [
+        "[69/20, 71/20]",
+        "[32/5, 33/5]",
+    ]
+    assert trace.interval_order == (1, 8, 5)
+    assert trace.per_interval_deltas == ((F(1, 4),), (F(1, 10),), (F(1, 20),))
+
+
 def test_remove_strong_idempotent_on_output():
     s = figure1()
     gmap, final, trace = th.remove_strong(s)
