@@ -1,18 +1,32 @@
-"""Constructive removal of half-open gaps by two-piece affine maps.
+"""Weak removal of half-open gaps (Debreu's Open Gap Lemma), in closed form.
 
-Each step fuses the current biggest bad gap with a map that is the identity
-shape rescaled: below the gap ``x -> x/(1-d)``, above it ``x -> (x-d)/(1-d)``
-(in span-normalized coordinates), so the span is preserved and every other
-gap is stretched by the same factor.  The removal order of the original gaps
-is therefore invariant under the steps, and the length ledgers below hold
-with exact rational equality.
+Step n fuses the n-th biggest bad gap (leftmost on ties) with the two-piece
+map that is the identity rescaled: below the gap ``x -> x/(1-d)``, above it
+``x -> (x-d)/(1-d)`` (in span-normalized coordinates), so the span is kept
+and every other gap is stretched by the same factor.  The removal order of
+the original gaps is therefore invariant, and the composed map of the first
+n steps is given by the distance law:
+
+    g(x) = inf + (x - inf - B(x)) * W / (W - M)
+
+with W the span, M the removed mass and B(x) the removed mass below x.  So a
+removal takes the biggest-first order once, reads each step's current gap off
+a prefix-sum (Fenwick) tree of the removed mass by left-to-right rank, and
+builds the total map as one collapse (slope 1 per component, the removed mass
+below it taken out) followed by one rescale.  The steps cost O(k log k) for k
+bad gaps and the total map O(n log n) for n components, with denominators
+that do not grow with k.  A step's own two-piece map is built only when
+something asks for it (the distance recursion, the CLI trace and diagram),
+from the set just before that step: the image left by the previous step's
+map when that one was built, else the closed form of the earlier steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from functools import cached_property, partial
+from typing import Callable, Collection
 
 from . import plmap
 from . import pointset as ps
@@ -39,7 +53,9 @@ class RemovalStep:
     ``delta`` and ``l`` are span-normalized (fractions of sup-inf), so the
     ledger law l = delta / (1 - sum of previous deltas) is an exact identity;
     ``gap_before`` keeps the gap in the caller's original coordinates and
-    ``current_gap`` its position at removal time.
+    ``current_gap`` its position at removal time.  ``fuse`` builds the step's
+    two-piece ``map``, which is done once, on first use.  Both are left out
+    of ==, hash and repr: the other fields and the source set determine them.
     """
 
     index: int
@@ -47,7 +63,11 @@ class RemovalStep:
     current_gap: Gap
     delta: Fraction
     l: Fraction
-    map: plmap.PLMap
+    fuse: Callable[[], plmap.PLMap] = field(compare=False, repr=False)
+
+    @cached_property
+    def map(self) -> plmap.PLMap:
+        return self.fuse()
 
     def to_json_dict(self) -> dict:
         return {
@@ -86,24 +106,86 @@ def remove_one(s: PointSet, g: Gap) -> tuple[plmap.PLMap, PointSet]:
     return fmap, plmap.image(fmap, s)
 
 
+def _collapse(s: PointSet, removed: Collection[Fraction]) -> plmap.PLMap:
+    """Slope-1 piece per component, lowered by the removed mass below it;
+    ``removed`` holds the lower ends of the removed gaps."""
+    pieces = []
+    below = Fraction(0)
+    for prev, c in zip((None,) + s.components, s.components):
+        if prev is not None and prev.hi in removed:
+            below += c.lo - prev.hi
+        pieces.append(plmap.AffinePiece(c.lo, c.hi, Fraction(1), -below, tag="Identity"))
+    return plmap.PLMap(tuple(pieces), s)
+
+
+def _rescale(squeezed: PointSet, width: Fraction) -> plmap.PLMap:
+    """One affine piece fixing inf that stretches ``squeezed`` back to ``width``."""
+    lo = squeezed.inf
+    sigma = width / squeezed.span
+    return plmap.PLMap((plmap.AffinePiece(lo, squeezed.sup, sigma, lo * (1 - sigma)),), squeezed)
+
+
+def _squeeze(s: PointSet, removed: Collection[Fraction]) -> tuple[plmap.PLMap, plmap.PLMap]:
+    """The collapse and rescale maps whose composition removes ``removed``;
+    the rescale is defined on the collapsed image of ``s``."""
+    collapse = _collapse(s, removed)
+    return collapse, _rescale(plmap.image(collapse, s), s.span)
+
+
+class _Fenwick:
+    """Prefix sums of removed gap lengths over left-to-right ranks."""
+
+    def __init__(self, size: int) -> None:
+        self.tree = [Fraction(0)] * (size + 1)
+
+    def add(self, rank: int, value: Fraction) -> None:
+        i = rank + 1
+        while i < len(self.tree):
+            self.tree[i] += value
+            i += i & -i
+
+    def below(self, rank: int) -> Fraction:
+        """Sum over the ranks < ``rank``."""
+        total = Fraction(0)
+        i = rank
+        while i > 0:
+            total += self.tree[i]
+            i -= i & -i
+        return total
+
+
 def _run(s: PointSet, stop: Callable[[Fraction], bool]) -> RemovalTrace:
     if not s:
         raise EmptySet("nothing to remove from the empty set")
-    width = s.span
-    total_mass, _ = ps.bad_gap_mass(s)
-    if total_mass >= width > 0:
-        raise InvariantBroken("bad mass must stay below the span")
+    lo, width = s.inf, s.span
     order = ps.bad_gaps_biggest_first(s)
-    gmap = plmap.identity(s)
-    current = s
+    if sum((g.length for g in order), Fraction(0)) >= width > 0:
+        raise InvariantBroken("bad mass must stay below the span")
+    left_to_right = sorted(order, key=lambda g: g.lo)
+    rank = {g.lo: r for r, g in enumerate(left_to_right)}
+    fenwick = _Fenwick(len(order))
+    mass = Fraction(0)
+    # The set after step n, kept when step n's map is built: the trace and
+    # the diagram ask for the maps in order, so each chains on the last.
+    after: dict[int, PointSet] = {0: s}
+
+    def fuse(n: int, cur: Gap) -> plmap.PLMap:
+        prior = after.get(n - 1)
+        if prior is None:
+            _, rescale = _squeeze(s, {g.lo for g in order[: n - 1]})
+            prior = plmap.image(rescale, rescale.domain_hint)
+        fmap, after[n] = remove_one(prior, cur)
+        return fmap
+
     steps: list[RemovalStep] = []
     for n, g0 in enumerate(order, start=1):
-        cur = Gap(gmap.apply(g0.lo), gmap.apply(g0.hi), g0.kind)
+        # Distance law: the gap's lower end sits the removed mass below it
+        # lower, and everything is stretched by width / (width - mass).
+        sigma = width / (width - mass)
+        cur_lo = lo + (g0.lo - lo - fenwick.below(rank[g0.lo])) * sigma
+        cur = Gap(cur_lo, cur_lo + g0.length * sigma, g0.kind)
         if stop(cur.length):
             break
-        if ps.bad_gaps_biggest_first(current)[0] != cur:
-            raise InvariantBroken("removal order drifted from the original ordering")
-        fmap, current = remove_one(current, cur)
         steps.append(
             RemovalStep(
                 index=n,
@@ -111,11 +193,25 @@ def _run(s: PointSet, stop: Callable[[Fraction], bool]) -> RemovalTrace:
                 current_gap=cur,
                 delta=g0.length / width,
                 l=cur.length / width,
-                map=fmap,
+                fuse=partial(fuse, n, cur),
             )
         )
-        gmap = plmap.compose(fmap, gmap)
-    return RemovalTrace(tuple(steps), gmap, current)
+        fenwick.add(rank[g0.lo], g0.length)
+        mass += g0.length
+    if not steps:
+        return RemovalTrace((), plmap.identity(s), s)
+    gone = {g.lo for g in order[: len(steps)]}
+    collapse, rescale = _squeeze(s, gone)
+    total = plmap.compose(rescale, collapse)
+    final = plmap.image(total, s)
+    kept = [
+        Gap(total.apply(g.lo), total.apply(g.hi), g.kind)
+        for g in left_to_right
+        if g.lo not in gone
+    ]
+    if (final.inf, final.sup) != (s.inf, s.sup) or ps.bad_gaps(final) != kept:
+        raise InvariantBroken("removal order drifted from the original ordering")
+    return RemovalTrace(tuple(steps), total, final)
 
 
 def remove_all(s: PointSet) -> RemovalTrace:

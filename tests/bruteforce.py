@@ -10,6 +10,9 @@ piece where the package bisects to the overlapping ones.
 Certificates: the threshold and strict-increase properties of a map checked
 on every point of a dense grid of the set, and the witness contract.
 
+Weak removal: the step loop that fuses one gap at a time, composing each
+two-piece map onto the total map and re-reading the current set's gaps.
+
 Threshold plans: the plan pieces and the pinned-flat translate chain as they
 were built by walking every unit cell between the gap and inf or sup.
 
@@ -32,7 +35,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
-from gapsmith import plmap
+from gapsmith import debreu, plmap
 from gapsmith import pointset as ps
 from gapsmith import semiorder as so
 from gapsmith import threshold as th
@@ -250,6 +253,43 @@ def breaks_threshold(m: plmap.PLMap, s: ps.PointSet, pair: tuple[F, F]) -> bool:
         and contains(s, y)
         and (x + 1 < y) != (apply(m, x) + 1 < apply(m, y))
     )
+
+
+# -- weak removal ------------------------------------------------------------------
+
+
+def stepwise_removal(s: ps.PointSet, eps: F | None = None) -> debreu.RemovalTrace:
+    """``remove_all`` (or ``remove_until(s, eps)``) by k composed fuses.
+
+    Each step reads the biggest bad gap of the current set, fuses it with
+    ``remove_one`` and composes that map onto the total map; a step's map is
+    the one fused here.
+    """
+    width = s.span
+    order = ps.bad_gaps_biggest_first(s)
+    gmap = plmap.identity(s)
+    current = s
+    steps = []
+    for n, g0 in enumerate(order, start=1):
+        cur = Gap(gmap.apply(g0.lo), gmap.apply(g0.hi), g0.kind)
+        if eps is not None and cur.length < eps:
+            break
+        if ps.bad_gaps_biggest_first(current)[0] != cur:
+            raise AssertionError("removal order drifted from the original ordering")
+        fmap, after = debreu.remove_one(current, cur)
+        steps.append(
+            debreu.RemovalStep(
+                index=n,
+                gap_before=g0,
+                current_gap=cur,
+                delta=g0.length / width,
+                l=cur.length / width,
+                fuse=lambda fmap=fmap: fmap,
+            )
+        )
+        gmap = plmap.compose(fmap, gmap)
+        current = after
+    return debreu.RemovalTrace(tuple(steps), gmap, current)
 
 
 # -- threshold plans ---------------------------------------------------------------

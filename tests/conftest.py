@@ -209,6 +209,33 @@ def pinned_span(k: int, mirror: bool = False) -> ps.PointSet:
     return ps.reflect(s) if mirror else s
 
 
+def weak_ladder(k: int, seed: int = 0) -> ps.PointSet:
+    """Rungs on the 1/24 grid with exactly k half-open gaps between them, in
+    both orientations and with tied lengths, plus one open or closed gap per
+    four bad ones; a rung with both ends closed is sometimes a point."""
+    rng = random.Random(seed)
+    kinds = ["bad"] * k + ["good"] * (k // 4)
+    rng.shuffle(kinds)
+    # flags[i] = (lo_closed, hi_closed) of rung i; gap i sits after it.
+    flags = [[True, True] for _ in range(len(kinds) + 1)]
+    for i, kind in enumerate(kinds):
+        left_in = rng.random() < 0.5
+        flags[i][1] = left_in
+        flags[i + 1][0] = (not left_in) if kind == "bad" else left_in
+    comps = []
+    x = F(rng.randrange(-48, 48), 24)
+    for i, (lo_closed, hi_closed) in enumerate(flags):
+        if i and lo_closed and hi_closed and rng.random() < 0.3:
+            comps.append(ps.point(x))
+        else:
+            seg = F(rng.randrange(1, 12), 24)
+            comps.append(ps.Component(x, x + seg, lo_closed, hi_closed))
+            x += seg
+        if i < len(kinds):
+            x += F(rng.randrange(1, 6), 24)
+    return ps.normalize(comps)
+
+
 def fail_corpus() -> list[tuple[ps.PointSet, ps.Gap]]:
     """Provably unrepresentable instances: the target bad gap cannot be closed
     by any strictly increasing map preserving the unit threshold."""

@@ -7,6 +7,7 @@ import pytest
 from gapsmith import cli
 from gapsmith import pointset as ps
 from gapsmith import plmap, threshold
+from bruteforce import stepwise_removal
 from conftest import figure1
 
 DATA = Path(__file__).parent / "data"
@@ -83,6 +84,17 @@ def test_remove_weak_trace(tmp_path):
                      "--output", str(out), "--trace", str(trace_path)]) == 0
     lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
     assert [ln["delta"] for ln in lines] == ["1/5", "1/10"]
+
+
+def test_remove_weak_trace_lines_match_the_stepwise_removal(tmp_path):
+    inp = _write_set(tmp_path, figure1())
+    trace_path = tmp_path / "t.jsonl"
+    out = tmp_path / "o.json"
+    assert cli.main(["remove", "--mode", "weak", "--input", inp,
+                     "--output", str(out), "--trace", str(trace_path)]) == 0
+    want = [json.dumps(step.to_json_dict()) for step in stepwise_removal(figure1()).steps]
+    assert len(want) == 5
+    assert trace_path.read_text().splitlines() == want
 
 
 def test_remove_structure_violated_exit_2(tmp_path):

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from gapsmith import debreu, plmap
 from gapsmith import pointset as ps
-from conftest import random_presentation
+from bruteforce import stepwise_removal
+from conftest import random_presentation, weak_ladder
 
 
 def test_remove_one_basic():
@@ -30,13 +33,8 @@ def test_drifted_removal_order_raises_invariant_broken(monkeypatch):
         ps.interval(F(2, 5), F(3, 5), True, False),
         ps.interval(1, 2),
     )
-    real = debreu.remove_one
-
-    def stuck(current, g):
-        fmap, _ = real(current, g)
-        return fmap, current  # the image never advances
-
-    monkeypatch.setattr(debreu, "remove_one", stuck)
+    # The image never advances, so the final set keeps both bad gaps.
+    monkeypatch.setattr(plmap, "image", lambda m, s: s)
     with pytest.raises(ps.InvariantBroken, match="drifted"):
         debreu.remove_all(s)
     assert not issubclass(ps.InvariantBroken, ValueError)
@@ -68,6 +66,13 @@ def test_remove_all_identity():
     s = ps.pointset(ps.interval(0, 1))
     trace = debreu.remove_all(s)
     assert trace.steps == () and trace.final_set == s
+    assert trace.total_map == plmap.identity(s)
+    # Only good gaps: still the one-piece identity, not a piece per component.
+    good = ps.pointset(
+        ps.interval(0, 1, True, False), ps.interval(F(3, 2), 2, False, True), ps.point(F(5, 2))
+    )
+    trace = debreu.remove_all(good)
+    assert trace.steps == () and trace.total_map == plmap.identity(good)
 
 
 def test_remove_all_single():
@@ -83,7 +88,9 @@ def test_remove_until():
         ps.interval(F(2, 5), F(3, 5), True, False),
         ps.interval(1, 2),
     )
-    assert debreu.remove_until(s, F(1, 2)).steps == ()
+    stopped = debreu.remove_until(s, F(1, 2))
+    assert stopped.steps == () and stopped.final_set == s
+    assert stopped.total_map == plmap.identity(s)
     # After the first fuse the remaining gap measures exactly 1/4: not < 1/4,
     # so the run continues to a second step.
     assert len(debreu.remove_until(s, F(1, 4)).steps) == 2
@@ -152,3 +159,69 @@ def test_random_corpus_laws():
         assert plmap.is_strictly_increasing_on(trace.total_map, s)[0]
         again = debreu.remove_all(final)
         assert again.steps == () and again.final_set == final
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hs.sampled_from(("presentation", "ladder")),
+    hs.integers(0, 2**32 - 1),
+    hs.integers(1, 120),
+)
+def test_closed_form_matches_the_stepwise_removal(family, seed, eps_num):
+    rng = random.Random(seed)
+    s = random_presentation(rng) if family == "presentation" else weak_ladder(rng.randrange(13), seed)
+    eps = F(eps_num, 60)
+    for got, want in ((debreu.remove_all(s), stepwise_removal(s)),
+                      (debreu.remove_until(s, eps), stepwise_removal(s, eps))):
+        assert got.total_map == want.total_map
+        assert got.final_set == want.final_set
+        assert got.steps == want.steps
+        # In a random order, so a map is built both from the previous step's
+        # image and from the closed form of the earlier steps.
+        touch = list(range(len(got.steps)))
+        rng.shuffle(touch)
+        maps = {i: got.steps[i].map for i in touch}
+        assert [maps[i] for i in range(len(got.steps))] == [st.map for st in want.steps]
+
+
+_COUNTED = (
+    (plmap, "compose"),
+    (plmap, "image"),
+    (debreu, "remove_one"),
+    (ps, "gaps"),
+    (ps, "bad_gaps_biggest_first"),
+)
+
+
+def _count_calls(monkeypatch) -> dict[str, int]:
+    counts = {name: 0 for _, name in _COUNTED}
+    for module, name in _COUNTED:
+
+        def counted(*args, _name=name, _real=getattr(module, name)):
+            counts[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_remove_all_cost_does_not_grow_with_the_gap_count(monkeypatch):
+    counts = _count_calls(monkeypatch)
+    seen = []
+    for k in (40, 160):
+        s = weak_ladder(k)
+        assert len(ps.bad_gaps(s)) == k
+        for name in counts:
+            counts[name] = 0
+        trace = debreu.remove_all(s)
+        assert len(trace.steps) == k
+        assert counts["compose"] == 1 and counts["image"] <= 2
+        assert counts["remove_one"] == 0
+        seen.append((counts["gaps"], counts["bad_gaps_biggest_first"]))
+        trace.steps[k // 2].map
+        trace.steps[k // 2].map  # built once, then cached
+        assert counts["remove_one"] == 1
+        counts["image"] = 0
+        trace.steps[k // 2 + 1].map  # fuses the image the previous fuse left
+        assert counts["remove_one"] == 2 and counts["image"] == 1
+    assert seen[0] == seen[1]
