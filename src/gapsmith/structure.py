@@ -408,9 +408,11 @@ def co_frame_chains(
     return frame, r, w, _chain_right(frame, r, w), _chain_left(frame, r, w)
 
 
-def analyze_gap(s: PointSet, g: Gap) -> tuple[GapContext, GapContext]:
-    """Both direction chains for one bad gap, as (right, left) contexts."""
-    frame, _, _, co_right, co_left = co_frame_chains(s, g)
+def gap_contexts(
+    g: Gap, co_right: ChainInfo, co_left: ChainInfo
+) -> tuple[GapContext, GapContext]:
+    """The chains ``co_frame_chains`` ran for ``g``, as (right, left) contexts
+    in the set's own orientation."""
     if g.kind == GapKind.CLOSED_OPEN:
         r, ua = g.lo, g.hi
         right_info, left_info = co_right, co_left
@@ -439,6 +441,12 @@ def analyze_gap(s: PointSet, g: Gap) -> tuple[GapContext, GapContext]:
         )
 
     return ctx("right", right_info), ctx("left", left_info)
+
+
+def analyze_gap(s: PointSet, g: Gap) -> tuple[GapContext, GapContext]:
+    """Both direction chains for one bad gap, as (right, left) contexts."""
+    _, _, _, co_right, co_left = co_frame_chains(s, g)
+    return gap_contexts(g, co_right, co_left)
 
 
 def check_all(s: PointSet) -> StructureReport:

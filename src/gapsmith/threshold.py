@@ -13,7 +13,9 @@ four affine families on the unit grid anchored at w:
   singleton's image dictated by the unit-shift identity).
 
 Beyond the terminal depth the families repeat with period one, so the
-threshold relation is preserved against arbitrary deep structure.  Plans and
+threshold relation is preserved against arbitrary deep structure.  A plan is
+read off one run of the structural chains around its gap, and a failing
+chain raises StructureViolated before any piece is built.  Plans and
 step maps have pieces only where they meet the closure of the set, on the
 unit cells holding material, and holes elsewhere: the cells are read off the
 component endpoints and the empty ones are jumped over, so the cost of a plan
@@ -37,7 +39,6 @@ from . import pointset as ps
 from . import structure as st
 from .pointset import EmptySet, Gap, GapKind, InvariantBroken, PointSet, UnitPartition
 from .rationals import format_rational
-from .structure import ChainInfo, GapContext
 
 
 class StructureViolated(RuntimeError):
@@ -76,9 +77,7 @@ class ThresholdPlan:
     orientation: str  # "closed_open" | "open_closed"
     m: Optional[int]  # left-chain terminal depth (None: chain left the span)
     m_prime: Optional[int]  # right-chain terminal depth
-    gammas: tuple[tuple[str, int, Fraction, Fraction], ...]
     pieces: tuple[plmap.AffinePiece, ...]
-    structure: tuple[GapContext, GapContext]
     notes: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
@@ -120,7 +119,6 @@ class ScheduleTrace:
     eps1: Optional[Fraction]
     sup_norm_ledger: tuple[Fraction, ...]
     steps: tuple[ThresholdStep, ...]
-    partition: Optional[UnitPartition]
     notes: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
@@ -188,7 +186,7 @@ def _meets(frame: PointSet, lo: Fraction, hi: Fraction) -> bool:
 
 
 def _co_pieces(
-    frame: PointSet, r: Fraction, w: Fraction, left: ChainInfo, right: ChainInfo
+    frame: PointSet, r: Fraction, w: Fraction, left: st.ChainInfo, right: st.ChainInfo
 ) -> tuple[tuple[plmap.AffinePiece, ...], tuple[str, ...]]:
     delta = w - r
     expand = 1 / (1 - delta)
@@ -302,15 +300,18 @@ def _reflect_pieces(
     return tuple(sorted(out, key=lambda p: (p.lo, p.hi)))
 
 
-def plan_gap(
-    s: PointSet, g: Gap, ctx: tuple[GapContext, GapContext]
-) -> ThresholdPlan:
-    """Piece tiling that fuses ``g`` while preserving the unit threshold."""
-    ctx_right, ctx_left = ctx
-    for c in ctx:
+def plan_gap(s: PointSet, g: Gap) -> ThresholdPlan:
+    """Piece tiling that fuses ``g`` while preserving the unit threshold.
+
+    Runs the chain analysis around ``g`` once: a failing chain raises
+    StructureViolated with its failure (right before left), and otherwise
+    the pieces are read off the same chains.
+    """
+    frame, r, w, co_right, co_left = st.co_frame_chains(s, g)
+    right, left = st.gap_contexts(g, co_right, co_left)
+    for c in (right, left):
         if c.failure is not None:
             raise StructureViolated(c.failure)
-    frame, r, w, co_right, co_left = st.co_frame_chains(s, g)
     pieces, notes = _co_pieces(frame, r, w, co_left, co_right)
     if g.kind == GapKind.OPEN_CLOSED:
         pieces = _reflect_pieces(pieces)
@@ -318,21 +319,7 @@ def plan_gap(
         orientation = "open_closed"
     else:
         orientation = "closed_open"
-    gammas = tuple(
-        (c.direction, step.n, step.gamma_l, step.gamma_r)
-        for c in (ctx_right, ctx_left)
-        for step in c.steps
-    )
-    return ThresholdPlan(
-        gap=g,
-        orientation=orientation,
-        m=ctx_left.m,
-        m_prime=ctx_right.m,
-        gammas=gammas,
-        pieces=pieces,
-        structure=(ctx_right, ctx_left),
-        notes=notes,
-    )
+    return ThresholdPlan(g, orientation, left.m, right.m, pieces, notes)
 
 
 def apply_plan(s: PointSet, plan: ThresholdPlan) -> tuple[plmap.PLMap, PointSet]:
@@ -396,13 +383,12 @@ class _Removal:
         cur_gap = Gap(lo, hi, g0.kind)
         if cur_gap not in ps.gaps(self.current):
             raise InvariantBroken("tracked gap drifted from the image set")
-        ctx = st.analyze_gap(self.current, cur_gap)
-        for c in ctx:
-            if c.failure is not None:
-                raise StructureViolated(
-                    c.failure, note="structure broke mid-pipeline; surfacing as a finding"
-                )
-        plan = plan_gap(self.current, cur_gap, ctx)
+        try:
+            plan = plan_gap(self.current, cur_gap)
+        except StructureViolated as e:
+            raise StructureViolated(
+                e.failure, note="structure broke mid-pipeline; surfacing as a finding"
+            ) from e
         fmap, nxt = apply_plan(self.current, plan)
         norm = sup_norm(fmap)
         self.current = nxt
@@ -429,7 +415,6 @@ class _Removal:
             eps1=eps1,
             sup_norm_ledger=tuple(self.ledger),
             steps=tuple(self.steps),
-            partition=self.partition,
             notes=tuple(dict.fromkeys(self.notes)),
         )
         return self.gmap, self.current, trace
@@ -479,7 +464,7 @@ def _prologue(s: PointSet) -> list[Gap]:
 
 
 def _identity_trace(s: PointSet, eps0=None, eps1=None) -> tuple:
-    return plmap.identity(s), s, ScheduleTrace((), (), eps0, eps1, (), (), None, ())
+    return plmap.identity(s), s, ScheduleTrace((), (), eps0, eps1, (), (), ())
 
 
 def remove_strong(s: PointSet) -> tuple[plmap.PLMap, PointSet, ScheduleTrace]:

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from gapsmith import plmap, threshold as th
+from gapsmith import cli, plmap, threshold as th
 from gapsmith import pointset as ps
 from gapsmith import structure as st
-from conftest import FIGURES, figure1, figure2, random_pass_instance
+from conftest import FIGURES, _cluster, figure1, figure2, random_pass_instance
 from bruteforce import breaks_threshold, exists_threshold_closing_map
 
 DATA = Path(__file__).parent / "data"
@@ -17,7 +17,7 @@ DATA = Path(__file__).parent / "data"
 
 def _plan_for(s):
     gap = ps.bad_gaps_biggest_first(s)[0]
-    return th.plan_gap(s, gap, st.analyze_gap(s, gap))
+    return th.plan_gap(s, gap)
 
 
 def test_plan_figure1_lambda_only():
@@ -55,9 +55,11 @@ def test_plan_rejects_failed_structure():
         ps.point(F(9, 5)),
     )
     gap = ps.bad_gaps_biggest_first(s)[0]
-    ctx = st.analyze_gap(s, gap)
-    with pytest.raises(th.StructureViolated):
-        th.plan_gap(s, gap, ctx)
+    right, left = st.analyze_gap(s, gap)
+    failure = right.failure or left.failure
+    with pytest.raises(th.StructureViolated) as err:
+        th.plan_gap(s, gap)
+    assert failure is not None and err.value.failure == failure
 
 
 def test_apply_plan_figure1_golden():
@@ -109,6 +111,72 @@ def test_remove_strong_figures_golden(figure_set, request):
     assert not ps.bad_gaps(final)
     assert plmap.threshold_equiv(gmap, figure_set) == (True, None)
     assert plmap.is_strictly_increasing_on(gmap, figure_set) == (True, None)
+
+
+def _counted_chains(monkeypatch) -> list:
+    calls = []
+    chains = st.co_frame_chains
+
+    def counted(*args):
+        calls.append(args)
+        return chains(*args)
+
+    monkeypatch.setattr(st, "co_frame_chains", counted)
+    return calls
+
+
+def _cluster_pair() -> ps.PointSet:
+    rng = random.Random(1)
+    return ps.normalize(_cluster(rng, F(0)) + _cluster(rng, F(5, 2)))
+
+
+def test_each_removal_step_analyzes_its_gap_once(monkeypatch):
+    # The prologue's check_all analyzes every bad gap once; after that each
+    # step runs the chains once, inside plan_gap.
+    sets = [build() for _, build in sorted(FIGURES.items())] + [_cluster_pair()]
+    calls = _counted_chains(monkeypatch)
+    for s in sets:
+        calls.clear()
+        trace = th.remove_strong(s)[2]
+        assert trace.steps
+        assert len(calls) == len(ps.bad_gaps(s)) + len(trace.steps)
+
+
+def test_structure_broken_mid_pipeline(monkeypatch, tmp_path):
+    # The chains pass on the input set and fail on every image after it, so
+    # the prologue passes and the second step surfaces the failure.
+    s = _cluster_pair()
+    chains = st.co_frame_chains
+
+    def failing_after_first_step(t, g):
+        frame, r, w, right, left = chains(t, g)
+        if t != s:
+            right = dataclasses.replace(
+                right, terminal="fail", failure=(1, st.FailReason.SINGLETON_VIOLATION)
+            )
+        return frame, r, w, right, left
+
+    monkeypatch.setattr(st, "co_frame_chains", failing_after_first_step)
+    with pytest.raises(th.StructureViolated) as err:
+        th.remove_strong(s)
+    assert "structure broke mid-pipeline" in str(err.value)
+    assert err.value.failure is not None
+    assert err.value.failure.reason == st.FailReason.SINGLETON_VIOLATION
+    inp = tmp_path / "s.json"
+    inp.write_text(s.dumps())
+    assert cli.main(["remove", "--mode", "strong", "--input", str(inp)]) == 2
+
+
+def test_remove_strong_skips_a_gap_an_earlier_step_fused():
+    s = ps.pointset(
+        ps.interval(-1, F(-1, 8), True, False),
+        ps.interval(0, F(7, 8), True, False),
+        ps.interval(1, F(3, 2)),
+    )
+    gmap, final, trace = th.remove_strong(s)
+    assert "gap at [7/8, 1] already fused; skipped" in trace.notes
+    assert len(trace.steps) == len(ps.bad_gaps(s)) - 1
+    assert not ps.bad_gaps(final)
 
 
 def test_remove_strong_gap_free_identity():
