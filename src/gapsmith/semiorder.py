@@ -1,5 +1,10 @@
 """Finite semiorders: axioms, trace, Scott-Suppes values under threshold 1.
 
+Verdicts, the trace and the irreducible cuts come from one O(n^2) pass that
+reads the relation's threshold shape off its predecessor and successor
+counts; only a failed check searches, in O(n^3) over row bitsets, for the
+first violating quadruple.
+
 Representations are synthesized as integers under the threshold k = 2n by
 one Bellman-Ford solve of difference constraints: x < y forces
 u(y) - u(x) >= k + 1, incomparability forces |u(y) - u(x)| <= k, and the
@@ -140,57 +145,80 @@ Verdict = Union[Valid, Violates1, Violates2]
 def check_axioms(strict) -> Verdict:
     """Semiorder axioms on an asymmetric irreflexive matrix, with witnesses."""
     m = _as_matrix(strict)
+    Semiorder(len(m), m)  # raises NotAsymmetric
+    return Valid() if _shape(m) else _witness(m)
+
+
+_Shape = tuple[list[int], list[int], list[int], list[int]]
+
+
+def _shape(m: Matrix) -> Optional[_Shape]:
+    """(pred counts, succ counts, order, f) in O(n^2), or None off semiorders.
+
+    Exactly the semiorders, listed in trace order, are x_i < x_j iff j >= f(i)
+    with f non-decreasing (Wine & Freund 1957).  Their pred and succ sets are
+    nested, so sorting by (pred, -succ, index) gives f(i) = n - succ(order[i]).
+    """
     n = len(m)
-    for i in range(n):
-        if m[i][i]:
-            raise NotAsymmetric(i, i)
-        for j in range(n):
-            if i != j and m[i][j] and m[j][i]:
-                raise NotAsymmetric(i, j)
-    rng = range(n)
-    for x, y, z, t in itertools.product(rng, repeat=4):
-        if m[x][y] and m[z][t] and not m[x][t] and not m[z][y]:
-            return Violates1(x, y, z, t)
-    for x, y, z in itertools.product(rng, repeat=3):
-        if m[x][y] and m[y][z]:
-            for w in rng:
-                if not m[x][w] and not m[w][z]:
-                    return Violates2(x, y, z, w)
+    succ = [sum(row) for row in m]
+    pred = [sum(col) for col in zip(*m)]
+    order = sorted(range(n), key=lambda x: (pred[x], -succ[x], x))
+    f = [n - succ[x] for x in order]
+    if any(a > b for a, b in zip(f, f[1:])):
+        return None
+    if not all(m[x][y] for x, fx in zip(order, f) for y in order[fx:]):
+        return None
+    return pred, succ, order, f
+
+
+def _witness(m: Matrix) -> Verdict:
+    """The first violating quadruple in ``itertools.product`` order, in O(n^3):
+    over row and column bitsets, the last index is the lowest bit of one mask."""
+    n = len(m)
+    succ = [sum(1 << t for t in range(n) if m[x][t]) for x in range(n)]
+    pred = [sum(1 << w for w in range(n) if m[w][z]) for z in range(n)]
+    below = [(x, y) for x in range(n) for y in range(n) if m[x][y]]
+    for x, y in below:
+        for z in range(n):
+            bits = succ[z] & ~succ[x]
+            if bits and not m[z][y]:
+                return Violates1(x, y, z, (bits & -bits).bit_length() - 1)
+    for x, y in below:
+        for z in range(n):
+            bits = ~succ[x] & ~pred[z] & ((1 << n) - 1)
+            if bits and m[y][z]:
+                return Violates2(x, y, z, (bits & -bits).bit_length() - 1)
     return Valid()
 
 
-def _require_semiorder(r: Semiorder) -> None:
-    verdict = check_axioms(r.strict)
-    if not isinstance(verdict, Valid):
-        raise NotASemiorder(f"axiom violation: {verdict}")
+def _require_semiorder(r: Semiorder) -> _Shape:
+    shape = _shape(r.strict)
+    if shape is None:
+        raise NotASemiorder(f"axiom violation: {_witness(r.strict)}")
+    return shape
 
 
 def trace(r: Semiorder) -> TraceOrder:
-    """x lies trace-below y iff every z below x is below y and every z above y is above x."""
-    n = r.n
-    weak = [
-        [
-            all(
-                (not r.strict[z][x] or r.strict[z][y])
-                and (not r.strict[y][z] or r.strict[x][z])
-                for z in range(n)
-            )
-            for y in range(n)
-        ]
-        for x in range(n)
-    ]
-    return TraceOrder(_as_matrix(weak))
+    """x lies trace-below y iff pred(x) lies in pred(y) and succ(x) contains succ(y).
+
+    Both are nested in a semiorder, so counts decide; others raise NotASemiorder.
+    """
+    pred, succ, _, _ = _require_semiorder(r)
+    return TraceOrder(tuple(
+        tuple(px <= py and sx >= sy for py, sy in zip(pred, succ))
+        for px, sx in zip(pred, succ)
+    ))
 
 
 def check_ss(r: Semiorder, u: SSRep) -> tuple[bool, Optional[tuple[int, int]]]:
     """x < y  <=>  u(x)+1 < u(y), over all ordered pairs; witness on failure."""
     if len(u.values) != r.n:
         raise ValueError("value count does not match the ground set")
-    for x in range(r.n):
-        for y in range(r.n):
-            if x == y:
-                continue
-            if r.strict[x][y] != (u.values[x] + 1 < u.values[y]):
+    values = u.values
+    for x, row in enumerate(r.strict):
+        above = values[x] + 1
+        for y, v in enumerate(values):
+            if x != y and row[y] != (above < v):
                 return False, (x, y)
     return True, None
 
@@ -202,9 +230,8 @@ def synthesize_ss(r: Semiorder) -> SSRep:
     threshold of at most n - 2 (Pirlot 1990), so integers under threshold
     k = 2n always exist; dividing them by k gives values under threshold 1.
     """
-    _require_semiorder(r)
+    weak = trace(r).weak
     n = r.n
-    tr = trace(r)
     k = 2 * n
     edges: list[tuple[int, int, int]] = []
     for x in range(n):
@@ -215,7 +242,7 @@ def synthesize_ss(r: Semiorder) -> SSRep:
                 edges.append((y, x, -(k + 1)))  # u_x <= u_y - k - 1
             else:
                 edges.append((x, y, k))  # u_y <= u_x + k
-            if tr.weak[x][y]:
+            if weak[x][y]:
                 edges.append((y, x, 0))  # u_x <= u_y
     dist = [0] * n
     for _ in range(n + 1):
@@ -244,58 +271,39 @@ def synthesize_ss(r: Semiorder) -> SSRep:
 def irreducible_blocks(r: Semiorder) -> list[list[int]]:
     """Element blocks of the finest cut decomposition, in order.
 
-    A cut can never split a trace class, so scanning the prefixes of a trace
-    linear extension finds every cut.
+    In trace order x_i < x_j iff j >= f(i), with f non-decreasing, so every
+    element before position c lies below every element from c on exactly
+    when f(c - 1) <= c.
     """
-    tr = trace(r)
-    order = sorted(
-        range(r.n), key=lambda x: (sum(1 for y in range(r.n) if tr.weak[y][x]), x)
-    )
+    _, _, order, f = _require_semiorder(r)
     blocks: list[list[int]] = []
     start = 0
     for cut in range(1, r.n):
-        head = order[start:cut]
-        tail = order[cut:]
-        if all(r.strict[a][b] for a in head for b in tail):
-            blocks.append(sorted(head))
+        if f[cut - 1] <= cut:
+            blocks.append(sorted(order[start:cut]))
             start = cut
     blocks.append(sorted(order[start:]))
     return blocks
 
 
 def _induced(r: Semiorder, elements: Sequence[int]) -> Semiorder:
-    return Semiorder(
-        len(elements),
-        _as_matrix(
-            [[r.strict[a][b] for b in elements] for a in elements]
-        ),
-    )
+    return Semiorder(len(elements), tuple(
+        tuple(r.strict[a][b] for b in elements) for a in elements
+    ))
 
 
 def irreducible_components(r: Semiorder) -> list[Semiorder]:
     """Sub-semiorders whose cut concatenation reconstructs the relation."""
-    _require_semiorder(r)
     return [_induced(r, block) for block in irreducible_blocks(r)]
 
 
 def concat_semiorders(parts: Sequence[Semiorder]) -> Semiorder:
     """Disjoint union with every earlier-part element below every later one."""
-    n = sum(p.n for p in parts)
-    m = [[False] * n for _ in range(n)]
-    offset = 0
-    offsets = []
-    for p in parts:
-        offsets.append(offset)
-        for a in range(p.n):
-            for b in range(p.n):
-                m[offset + a][offset + b] = p.strict[a][b]
-        offset += p.n
-    for i, p in enumerate(parts):
-        for j in range(i + 1, len(parts)):
-            for a in range(p.n):
-                for b in range(parts[j].n):
-                    m[offsets[i] + a][offsets[j] + b] = True
-    return Semiorder(n, _as_matrix(m))
+    cells = [(i, a) for i, p in enumerate(parts) for a in range(p.n)]
+    return Semiorder(len(cells), tuple(
+        tuple(i < j or (i == j and parts[i].strict[a][b]) for j, b in cells)
+        for i, a in cells
+    ))
 
 
 def glue(parts: Sequence[tuple[Semiorder, SSRep]]) -> SSRep:

@@ -111,9 +111,6 @@ class GapContext:
     steps: tuple[StepReport, ...]
     terminal: str
     m: Optional[int]
-    gamma_l: Optional[Fraction]
-    gamma_r: Optional[Fraction]
-    singleton: Optional[Fraction]
     failure: Optional[Failure]
     notes: tuple[str, ...] = ()
 
@@ -433,9 +430,6 @@ def gap_contexts(
             steps=info.steps,
             terminal=info.terminal,
             m=info.m,
-            gamma_l=info.gamma_l,
-            gamma_r=info.gamma_r,
-            singleton=info.singleton,
             failure=failure,
             notes=info.notes,
         )
@@ -459,9 +453,7 @@ def check_all(s: PointSet) -> StructureReport:
     for g in ps.bad_gaps_biggest_first(s):
         if g.length >= 1:
             failure = Failure(g, "both", 0, FailReason.GAP_TOO_LONG)
-            contexts.append(
-                GapContext(g, g.lo, g.hi, "right", (), "fail", None, None, None, None, failure)
-            )
+            contexts.append(GapContext(g, g.lo, g.hi, "right", (), "fail", None, failure))
             if first_failure is None:
                 first_failure = failure
             continue

@@ -1,7 +1,8 @@
 """Independent brute-force oracles for the tests.
 
-Semiorders: every asymmetric relation on n points filtered by
-``check_axioms``, and an isomorphism key that tries all n! relabelings.
+Semiorders: the axiom search over all n^4 quadruples, every asymmetric
+relation on n points filtered by it, an isomorphism key that tries all n!
+relabelings, and the trace and irreducible cuts from their set definitions.
 
 Lookups: linear-scan versions of the point-set queries, ``PLMap.apply``,
 ``plmap.image`` and ``plmap.compose``, which visit every component and every
@@ -44,10 +45,49 @@ from gapsmith.pointset import Gap, GapKind
 _INF = F(10**9)
 
 
-def labeled_semiorders(n: int) -> set[tuple[tuple[bool, ...], ...]]:
-    """Every semiorder on n labeled points, out of all 3^C(n,2) asymmetric relations."""
+def axiom_witness(m) -> so.Verdict:
+    """The first violating quadruple of either axiom in ``itertools.product`` order."""
+    rng = range(len(m))
+    for x, y, z, t in itertools.product(rng, repeat=4):
+        if m[x][y] and m[z][t] and not m[x][t] and not m[z][y]:
+            return so.Violates1(x, y, z, t)
+    for x, y, z in itertools.product(rng, repeat=3):
+        if m[x][y] and m[y][z]:
+            for w in rng:
+                if not m[x][w] and not m[w][z]:
+                    return so.Violates2(x, y, z, w)
+    return so.Valid()
+
+
+def trace_weak(r: so.Semiorder) -> tuple[tuple[bool, ...], ...]:
+    """x trace-below y iff every z below x is below y and every z above y is above x."""
+    n, m = r.n, r.strict
+    return tuple(
+        tuple(
+            all((not m[z][x] or m[z][y]) and (not m[y][z] or m[x][z]) for z in range(n))
+            for y in range(n)
+        )
+        for x in range(n)
+    )
+
+
+def irreducible_blocks(r: so.Semiorder) -> list[list[int]]:
+    """Cut blocks found by testing every prefix of a trace linear extension."""
+    weak = trace_weak(r)
+    order = sorted(range(r.n), key=lambda x: (sum(weak[y][x] for y in range(r.n)), x))
+    blocks: list[list[int]] = []
+    start = 0
+    for cut in range(1, r.n):
+        if all(r.strict[a][b] for a in order[start:cut] for b in order[cut:]):
+            blocks.append(sorted(order[start:cut]))
+            start = cut
+    blocks.append(sorted(order[start:]))
+    return blocks
+
+
+def asymmetric_relations(n: int):
+    """All 3^C(n,2) asymmetric irreflexive relations on n points, as lists of rows."""
     pairs = list(itertools.combinations(range(n), 2))
-    out = set()
     for code in itertools.product((0, 1, 2), repeat=len(pairs)):
         m = [[False] * n for _ in range(n)]
         for (i, j), c in zip(pairs, code):
@@ -55,9 +95,16 @@ def labeled_semiorders(n: int) -> set[tuple[tuple[bool, ...], ...]]:
                 m[i][j] = True
             elif c == 2:
                 m[j][i] = True
-        if isinstance(so.check_axioms(m), so.Valid):
-            out.add(tuple(map(tuple, m)))
-    return out
+        yield m
+
+
+def labeled_semiorders(n: int) -> set[tuple[tuple[bool, ...], ...]]:
+    """Every semiorder on n labeled points, out of all 3^C(n,2) asymmetric relations."""
+    return {
+        tuple(map(tuple, m))
+        for m in asymmetric_relations(n)
+        if isinstance(axiom_witness(m), so.Valid)
+    }
 
 
 def canonical_form(strict) -> bytes:

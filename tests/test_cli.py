@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -275,6 +276,30 @@ def test_synth_certified(tmp_path):
     assert cli.main(["synth", "--input", str(path), "--output", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["certified"] and len(payload["values"]) == 2
+
+
+def _chain(n: int, size: int) -> dict:
+    """The first ``size`` of n points form a chain; the rest are isolated."""
+    return {"n": n, "strict": [[i < j < size for j in range(n)] for i in range(n)]}
+
+
+@pytest.mark.parametrize(
+    "verb, rel, expected",
+    [
+        ("synth", _chain(160, 160), {"certified": True}),
+        ("semiorder-check", _chain(160, 159),
+         {"verdict": "violates2", "witness": [0, 1, 2, 159]}),
+    ],
+)
+def test_large_relations_within_budget(tmp_path, verb, rel, expected):
+    path = tmp_path / "rel.json"
+    path.write_text(json.dumps(rel))
+    out = tmp_path / "out.json"
+    start = time.perf_counter()
+    assert cli.main([verb, "--input", str(path), "--output", str(out)]) == 0
+    assert time.perf_counter() - start < 5.0
+    payload = json.loads(out.read_text())
+    assert {key: payload[key] for key in expected} == expected
 
 
 def test_enumerate_cap_env(tmp_path, monkeypatch, capsys):

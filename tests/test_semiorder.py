@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from gapsmith import semiorder as so
+import bruteforce
 from bruteforce import canonical_form, labeled_semiorders
 
 
@@ -40,6 +41,69 @@ def test_check_axioms_not_asymmetric():
         so.check_axioms([[False, True], [True, False]])
     with pytest.raises(so.NotAsymmetric):
         so.check_axioms([[True]])
+
+
+def test_check_axioms_matches_oracle_on_all_small_relations():
+    count = 0
+    for n in range(1, 5):
+        for m in bruteforce.asymmetric_relations(n):
+            assert so.check_axioms(m) == bruteforce.axiom_witness(m), m
+            count += 1
+    assert count == 760
+
+
+@hs.composite
+def perturbed_shapes(draw):
+    """A relabeled shape on 6..12 points with one ordered pair flipped."""
+    r = draw(shaped_semiorders(6, 12))
+    n, m = r.n, [list(row) for row in r.strict]
+    a, b = draw(hs.sampled_from([(a, b) for a in range(n) for b in range(n) if a != b]))
+    m[a][b], m[b][a] = not m[a][b], False
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_shapes())
+def test_check_axioms_matches_oracle_near_shapes(m):
+    assert so.check_axioms(m) == bruteforce.axiom_witness(m)
+
+
+def test_trace_and_cuts_match_set_definitions():
+    for n in range(1, 6):
+        _, items = so.enumerate_semiorders(n)
+        for r in items:
+            assert so.trace(r).weak == bruteforce.trace_weak(r)
+            assert so.irreducible_blocks(r) == bruteforce.irreducible_blocks(r)
+
+
+def test_trace_and_cuts_reject_non_semiorders():
+    r = so.semiorder(4, [(0, 1), (2, 3)])
+    for fn in (so.trace, so.irreducible_blocks, so.irreducible_components):
+        with pytest.raises(so.NotASemiorder, match="Violates1"):
+            fn(r)
+
+
+def _relabeled_shape(n: int, seed: int) -> so.Semiorder:
+    rng = random.Random(seed)
+    f: list[int] = []
+    for i in range(n):
+        f.append(rng.randint(max(f[-1] if f else 0, i + 1), n))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return so.semiorder(n, [(perm[i], perm[j]) for i in range(n) for j in range(f[i], n)])
+
+
+@pytest.mark.parametrize("n", [40, 80])
+def test_valid_relations_skip_the_quadruple_search(monkeypatch, n):
+    def no_product(*args, **kwargs):
+        raise AssertionError("quadruple search on a valid relation")
+
+    monkeypatch.setattr(itertools, "product", no_product)
+    chain = so.semiorder(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    for r in (chain, so.semiorder(n, []), _relabeled_shape(n, n)):
+        assert isinstance(so.check_axioms(r.strict), so.Valid)
+        assert so.check_ss(r, so.synthesize_ss(r)) == (True, None)
+        assert sum(c.n for c in so.irreducible_components(r)) == n
 
 
 def test_trace_antichain():
@@ -90,9 +154,9 @@ def test_synthesize_pinned_values():
 
 
 @hs.composite
-def shaped_semiorders(draw):
+def shaped_semiorders(draw, low=7, high=14):
     """A relabeled shape: i < j iff j >= f(i), f non-decreasing with i < f(i) <= n."""
-    n = draw(hs.integers(7, 14))
+    n = draw(hs.integers(low, high))
     f: list[int] = []
     for i in range(n):
         f.append(draw(hs.integers(max(f[-1] if f else 0, i + 1), n)))
