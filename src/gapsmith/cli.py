@@ -212,9 +212,9 @@ def execute(cmd: Command) -> int:
 
     if cmd.verb == "synth":
         rel = _load(cmd.input_path, semiorder.from_json_dict)
+        # synthesize_ss raises SynthesisFailed unless check_ss passes its result.
         rep = semiorder.synthesize_ss(rel)
-        ok, _ = semiorder.check_ss(rel, rep)
-        _emit({**rep.to_json_dict(), "certified": ok}, cmd.output_path)
+        _emit({**rep.to_json_dict(), "certified": True}, cmd.output_path)
         return EX_OK
 
     if cmd.verb == "enumerate":

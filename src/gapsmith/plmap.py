@@ -2,10 +2,10 @@
 
 Pieces are closed intervals in increasing order.  Neighbours may share an
 endpoint, where the right-hand piece gives the value, and may leave holes
-where the host set has no material.  Lookups (``apply``, ``image``,
-``compose``) bisect over each map's and each set's endpoint lists, computed
-once per object on first use, and then walk only the pieces and components
-that overlap.
+where the host set has no material.  ``apply`` bisects each map's endpoint
+lists, computed once per map on first use; ``image``, ``compose`` and
+``atoms`` walk the pieces and components that meet an interval with the one
+overlap walk, ``pointset.overlapping``.
 
 The two certificates, strict increase and x+1 < y <=> f(x)+1 < f(y), are
 decided exactly over the whole host set, not on a sample.  Both run on its
@@ -17,12 +17,12 @@ work is O(A log P).  A failing check returns a witness pair of members.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import groupby
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import pointset as ps
 from .rationals import format_rational, parse_rational
@@ -150,54 +150,39 @@ def compose(outer: PLMap, inner: PLMap) -> PLMap:
     Only the closure of inner's domain_hint is composed; the outer map may
     have holes over regions the inner image never reaches.  Each inner piece
     meets the components that overlap it, and each resulting segment meets
-    the outer pieces that overlap its value range; both runs start by bisection.
+    the outer pieces that overlap its value range.
     """
-    comps = inner.domain_hint.components
-    segments: list[tuple[Fraction, Fraction, AffinePiece]] = []
-    for p in inner.pieces:
-        i = bisect_left(inner.domain_hint.his, p.lo)
-        while i < len(comps) and comps[i].lo <= p.hi:
-            c = comps[i]
-            i += 1
-            segments.append((max(p.lo, c.lo), min(p.hi, c.hi), p))
+    d = inner.domain_hint
+    segments = [
+        (max(p.lo, c.lo), min(p.hi, c.hi), p)
+        for p in inner.pieces
+        for c in ps.overlapping(d.components, d.his, p.lo, p.hi)
+    ]
     pieces: list[AffinePiece] = []
-    for seg_lo, seg_hi, p in segments:
-        v_lo, v_hi = p.value(seg_lo), p.value(seg_hi)
-        if p.slope == 0 or seg_lo == seg_hi:
-            try:
+    try:
+        for seg_lo, seg_hi, p in segments:
+            v_lo, v_hi = p.value(seg_lo), p.value(seg_hi)
+            if p.slope == 0 or seg_lo == seg_hi:
                 w = outer.apply(v_lo)
-            except OutOfDomain as exc:
-                raise DomainMismatch(str(exc)) from exc
-            if seg_lo < seg_hi or not pieces or pieces[-1].hi < seg_lo:
-                pieces.append(AffinePiece(seg_lo, seg_hi, Fraction(0), w, tag=p.tag))
-            continue
-        # Walk the outer pieces across the value range [v_lo, v_hi].
-        covered = v_lo
-        first = True
-        j = bisect_left(outer.his, v_lo)
-        while j < len(outer.pieces) and outer.pieces[j].lo <= v_hi:
-            q = outer.pieces[j]
-            j += 1
-            a, b = max(q.lo, v_lo), min(q.hi, v_hi)
-            if (first and a > v_lo) or (not first and a > covered):
-                raise DomainMismatch(f"outer map has a hole inside [{v_lo}, {v_hi}]")
-            first = False
-            # p maps seg_lo to v_lo and seg_hi to v_hi exactly.
-            u = seg_lo if a == v_lo else (a - p.intercept) / p.slope
-            v = seg_hi if b == v_hi else (b - p.intercept) / p.slope
-            if u < v or not pieces or pieces[-1].hi < u:
-                pieces.append(
-                    AffinePiece(
-                        u,
-                        v,
-                        q.slope * p.slope,
-                        q.slope * p.intercept + q.intercept,
-                        tag=p.tag or q.tag,
+                if seg_lo < seg_hi or not pieces or pieces[-1].hi < seg_lo:
+                    pieces.append(AffinePiece(seg_lo, seg_hi, Fraction(0), w, tag=p.tag))
+                continue
+            for a, b, q in _cover(outer, v_lo, v_hi):
+                # p maps seg_lo to v_lo and seg_hi to v_hi exactly.
+                u = seg_lo if a == v_lo else (a - p.intercept) / p.slope
+                v = seg_hi if b == v_hi else (b - p.intercept) / p.slope
+                if u < v or not pieces or pieces[-1].hi < u:
+                    pieces.append(
+                        AffinePiece(
+                            u,
+                            v,
+                            q.slope * p.slope,
+                            q.slope * p.intercept + q.intercept,
+                            tag=p.tag or q.tag,
+                        )
                     )
-                )
-            covered = b
-        if first or covered < v_hi:
-            raise DomainMismatch(f"inner image [{v_lo}, {v_hi}] not covered")
+    except OutOfDomain as exc:
+        raise DomainMismatch(str(exc)) from exc
     pieces.sort(key=lambda q: (q.lo, q.hi))
     deduped: list[AffinePiece] = []
     for q in pieces:
@@ -225,21 +210,27 @@ def _coalesce(pieces: Sequence[AffinePiece]) -> list[AffinePiece]:
     return out
 
 
+def _cover(
+    m: PLMap, lo: Fraction, hi: Fraction
+) -> Iterator[tuple[Fraction, Fraction, AffinePiece]]:
+    """``(a, b, piece)`` in order for each piece of ``m`` meeting [lo, hi],
+    [a, b] being their overlap; raises OutOfDomain where no piece covers."""
+    covered, met = lo, False
+    for p in ps.overlapping(m.pieces, m.his, lo, hi):
+        a, b = max(p.lo, lo), min(p.hi, hi)
+        if a > covered:
+            break
+        yield a, b, p
+        covered, met = b, True
+    if not met or covered < hi:
+        raise OutOfDomain(f"[{lo}, {hi}] not covered by the map")
+
+
 def image(m: PLMap, s: ps.PointSet) -> ps.PointSet:
     """Exact image of ``s``; raises OutOfDomain when material is uncovered."""
     parts: list[ps.Component] = []
     for c in s.components:
-        covered = c.lo
-        any_piece = False
-        j = bisect_left(m.his, c.lo)
-        while j < len(m.pieces) and m.pieces[j].lo <= c.hi:
-            p = m.pieces[j]
-            j += 1
-            a, b = max(p.lo, c.lo), min(p.hi, c.hi)
-            if (not any_piece and a > c.lo) or (any_piece and a > covered):
-                raise OutOfDomain(f"component {c} not fully covered")
-            any_piece = True
-            covered = b
+        for a, b, p in _cover(m, c.lo, c.hi):
             va, vb = p.value(a), p.value(b)
             if a == b:
                 # Degenerate overlap at a piece boundary; only a member counts.
@@ -253,8 +244,6 @@ def image(m: PLMap, s: ps.PointSet) -> ps.PointSet:
                 parts.append(ps.point(va))
             else:
                 parts.append(ps.Component(va, vb, lo_cl, hi_cl))
-        if not any_piece or covered < c.hi:
-            raise OutOfDomain(f"component {c} not fully covered")
     return ps.normalize(parts)
 
 
@@ -292,12 +281,10 @@ def atoms(m: PLMap, s: ps.PointSet) -> list[Atom]:
     out: list[Atom] = []
     for c in s.components:
         cuts = [c.lo]
-        j = bisect_left(m.his, c.lo)
-        while j < len(m.pieces) and m.pieces[j].lo < c.hi:
-            for e in (m.pieces[j].lo, m.pieces[j].hi):
+        for p in ps.overlapping(m.pieces, m.his, c.lo, c.hi):
+            for e in (p.lo, p.hi):
                 if cuts[-1] < e < c.hi:
                     cuts.append(e)
-            j += 1
         cuts.append(c.hi)
         if c.lo_closed:
             out.append(point(c.lo))

@@ -6,8 +6,9 @@ Gaps are the maximal complement intervals inside [inf, sup]; a gap is *bad*
 when it is half-open, i.e. exactly one of its endpoints belongs to the set.
 
 Both endpoint lists of a normalized set are strictly increasing, so point
-queries (membership, window probes, closure distances) bisect over them.
-Each set computes the lists once, on first use.
+queries (membership, closure distances) bisect over them, and every interval
+query here and in ``plmap`` and ``threshold`` is one overlap walk,
+:func:`overlapping`.  Each set computes the lists once, on first use.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .rationals import format_rational, parse_rational
 
@@ -317,7 +318,19 @@ def reflect(s: PointSet) -> PointSet:
     )
 
 
-# -- window probes used by the structural verifier ---------------------------
+# -- the overlap walk and the window probes -----------------------------------
+
+
+def overlapping(
+    items: Sequence, his: Sequence[Fraction], lo: Fraction, hi: Fraction
+) -> Iterator:
+    """The items of a sorted run (components or pieces, meeting at most at an
+    endpoint, with upper ends ``his``) that meet [lo, hi], in order: one
+    bisection to the first reaching ``lo``, then on while they start by ``hi``."""
+    i, n = bisect_left(his, lo), len(items)
+    while i < n and items[i].lo <= hi:
+        yield items[i]
+        i += 1
 
 
 def members_in_interval(
@@ -325,11 +338,7 @@ def members_in_interval(
 ) -> Optional[list[Fraction]]:
     """Member points of ``s`` inside [lo, hi]; None when uncountably many."""
     found: list[Fraction] = []
-    comps = s.components
-    i = bisect_left(s.his, lo)
-    while i < len(comps) and comps[i].lo <= hi:
-        c = comps[i]
-        i += 1
+    for c in overlapping(s.components, s.his, lo, hi):
         a, b = max(c.lo, lo), min(c.hi, hi)
         if a > b:
             continue

@@ -10,31 +10,32 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class MalformedRational(ValueError):
-    """String does not denote a reduced rational with positive denominator."""
+    """String is not the canonical literal of a rational (see the module docstring)."""
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p"`` or ``"p/q"``; rejects unreduced and zero-denominator input."""
-    m = _RATIONAL_RE.match(text.strip())
-    if m is None:
+    """Parse ``"p"`` or ``"p/q"``, accepting exactly the text that
+    :func:`format_rational` writes for the value, up to surrounding blanks."""
+    literal = text.strip()
+    if _RATIONAL_RE.fullmatch(literal) is None:
         raise MalformedRational(f"not a rational literal: {text!r}")
-    num = int(m.group(1))
-    if m.group(2) is None:
-        return Fraction(num)
-    den = int(m.group(2))
-    if den == 0:
-        raise MalformedRational(f"zero denominator: {text!r}")
-    if gcd(abs(num), den) != 1:
-        raise MalformedRational(f"not in lowest terms: {text!r}")
-    return Fraction(num, den)
+    num, _, den = literal.partition("/")
+    try:
+        value = Fraction(int(num), int(den or 1))
+    except ZeroDivisionError:
+        raise MalformedRational(f"zero denominator: {text!r}") from None
+    except ValueError as exc:  # more digits than int() converts
+        raise MalformedRational(f"too many digits: {text[:20]!r}...") from exc
+    if format_rational(value) != literal:
+        raise MalformedRational(f"not in canonical form: {text!r}")
+    return value
 
 
 def format_rational(value: Fraction) -> str:

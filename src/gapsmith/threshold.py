@@ -29,7 +29,6 @@ pair.  The ledger's ``sup_norm`` is the exact sup of |f(t) - t| over the set.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -156,18 +155,18 @@ def _material_cells(
     """Ascending indices j in [first, last] whose closed unit cell, the one
     with bottom ``origin + step*j``, meets the closure of a component.
 
-    Each component covers a run of indices read off its endpoints, and the
-    components outside the index range are skipped by bisection, so the
-    cost follows the material, not the span.
+    Each component covers a run of indices read off its endpoints, and only
+    the components that meet the cells are walked, so the cost follows the
+    material, not the span.
     """
-    comps = frame.components
     if step > 0:
-        near = range(bisect_left(frame.his, origin + first), len(comps))
+        near = ps.overlapping(frame.components, frame.his, origin + first, origin + last + 1)
     else:
-        near = range(bisect_right(frame.los, origin - first + 1) - 1, -1, -1)
+        near = reversed(
+            list(ps.overlapping(frame.components, frame.his, origin - last, origin - first + 1))
+        )
     out: list[int] = []
-    for i in near:
-        c = comps[i]
+    for c in near:
         if step > 0:
             lo, hi = math.ceil(c.lo - origin) - 1, math.floor(c.hi - origin)
         else:
@@ -177,12 +176,6 @@ def _material_cells(
             break
         out.extend(range(lo, min(hi, last) + 1))
     return out
-
-
-def _meets(frame: PointSet, lo: Fraction, hi: Fraction) -> bool:
-    """Whether [lo, hi] meets the closure of a component of ``frame``."""
-    i = bisect_left(frame.his, lo)
-    return i < len(frame.components) and frame.components[i].lo <= hi
 
 
 def _co_pieces(
@@ -204,7 +197,8 @@ def _co_pieces(
         if lo == hi:
             return
         lo2, hi2 = max(lo, a_lo), min(hi, b_hi)
-        if lo2 >= hi2 or not _meets(frame, lo2, hi2):
+        near = ps.overlapping(frame.components, frame.his, lo2, hi2)
+        if lo2 >= hi2 or next(near, None) is None:
             return
         slope = (v_hi - v_lo) / (hi - lo)
         pieces.append(plmap.AffinePiece(lo2, hi2, slope, v_lo - slope * lo, tag=tag))

@@ -8,6 +8,7 @@ import pytest
 from gapsmith import cli
 from gapsmith import pointset as ps
 from gapsmith import plmap, threshold
+from gapsmith import structure as st
 from bruteforce import stepwise_removal
 from conftest import figure1
 
@@ -40,6 +41,10 @@ def test_parse_args_zero_denominator():
 def test_main_usage_exit_code():
     assert cli.main(["remove", "--mode", "epsilon", "--input", "s.json"]) == 64
     assert cli.main(["frobnicate"]) == 64
+    assert cli.main([]) == 64
+    for eps in ["0", "-1/8", "9" * 5000, "\u0663", "007", "-0", "2/1"]:
+        argv = ["remove", "--mode", "epsilon", "--epsilon", eps, "--input", "s.json"]
+        assert cli.main(argv) == 64
 
 
 def test_gaps_report(tmp_path):
@@ -206,6 +211,7 @@ def test_internal_value_error_exit_70(tmp_path, monkeypatch):
             {"components": [{"kind": "interval", "lo": "0", "hi": "1",
                              "lo_closed": "false", "hi_closed": True}]},
         ),
+        ("gaps", {"components": [{"kind": "point", "at": "9" * 5000}]}),
     ],
 )
 def test_malformed_json_exit_4(tmp_path, verb, body):
@@ -249,6 +255,7 @@ def test_semiorder_check_verdict_is_data(tmp_path):
     [
         ([(0, 1), (2, 3)], {"verdict": "violates1", "witness": [0, 1, 2, 3]}),
         ([(0, 1), (1, 2), (0, 2)], {"verdict": "violates2", "witness": [0, 1, 2, 3]}),
+        ([(0, 1), (1, 0)], {"verdict": "not_asymmetric", "witness": [0, 1]}),
     ],
 )
 def test_semiorder_check_payload(tmp_path, pairs, payload):
@@ -311,6 +318,30 @@ def test_enumerate_cap_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GAPSMITH_MAX_N", "abc")
     assert cli.main(["enumerate", "--n", "3"]) == 64
     assert "GAPSMITH_MAX_N" in capsys.readouterr().err
+
+
+def test_enumerate_omits_instances_past_1000(tmp_path):
+    out = tmp_path / "e.json"
+    assert cli.main(["enumerate", "--n", "6", "--output", str(out)]) == 0
+    assert json.loads(out.read_text()) == {
+        "n": 6, "up_to_iso": False, "count": 38703, "instances_omitted": True,
+    }
+
+
+def test_check_structure_payload(tmp_path):
+    inp = _write_set(tmp_path, figure1())
+    out = tmp_path / "c.json"
+    assert cli.main(["check-structure", "--input", inp, "--output", str(out)]) == 0
+    assert json.loads(out.read_text()) == st.check_all(figure1()).to_json_dict()
+
+
+def test_certificate_failed_exit_3(tmp_path, monkeypatch):
+    def failing(fmap):
+        raise threshold.CertificateFailed("strict_increase", (F(0), F(1)))
+
+    monkeypatch.setattr(threshold, "_certify", failing)
+    inp = _write_set(tmp_path, figure1())
+    assert cli.main(["remove", "--mode", "strong", "--input", inp]) == 3
 
 
 def test_invalid_input_exit_4(tmp_path):

@@ -155,6 +155,11 @@ def test_json_rejects_unreduced_and_zero_den():
         parse_rational("1/0")
     with pytest.raises(MalformedRational):
         ps.loads(json.dumps({"components": [{"kind": "point", "at": "3/6"}]}))
+    # Only the canonical text of a value parses, in ASCII digits, of any length.
+    for text in ["\u0663", "007", "-0", "2/1", "0/1", "+1", "1/-2", "9" * 5000]:
+        with pytest.raises(MalformedRational):
+            parse_rational(text)
+    assert parse_rational(" -3/4\n") == F(-3, 4) and parse_rational("0") == 0
 
 
 # -- properties ----------------------------------------------------------------
