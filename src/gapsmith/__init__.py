@@ -30,8 +30,6 @@ from .plmap import (
     PLMap,
     compose,
     image,
-    is_strictly_increasing_on,
-    threshold_equiv,
 )
 from .debreu import (
     DegenerateDistance,

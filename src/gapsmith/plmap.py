@@ -421,18 +421,3 @@ def threshold_witness(parts: list[Atom]) -> Optional[tuple[Fraction, Fraction]]:
                         return w, partner(w, a.piece.value(w) + 1, inside, jz)
     return None
 
-
-def is_strictly_increasing_on(
-    m: PLMap, s: ps.PointSet
-) -> tuple[bool, Optional[tuple[Fraction, Fraction]]]:
-    """Decide strict increase on ``s``; on failure a member pair x < y with f(x) >= f(y)."""
-    witness = increase_witness(atoms(m, s))
-    return witness is None, witness
-
-
-def threshold_equiv(
-    m: PLMap, s: ps.PointSet
-) -> tuple[bool, Optional[tuple[Fraction, Fraction]]]:
-    """Decide x+1 < y  <=>  f(x)+1 < f(y) on ``s``; on failure a member pair breaking it."""
-    witness = threshold_witness(atoms(m, s))
-    return witness is None, witness

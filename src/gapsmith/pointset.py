@@ -333,6 +333,33 @@ def overlapping(
         i += 1
 
 
+def translates(
+    s: PointSet, lo: Fraction, hi: Fraction, step: int, first: int, last: int
+) -> Iterator[int]:
+    """The ascending k in [first, last] for which the translate
+    [lo + step*k, hi + step*k] (step +1 or -1) meets the closure of ``s``.
+
+    Each component meets one run of k, read off its endpoints, and only the
+    components that meet the translates are walked (backward for step -1),
+    so the cost follows the material, not the span.
+    """
+    if step > 0:
+        near = overlapping(s.components, s.his, lo + first, hi + last)
+    else:
+        near = reversed(list(overlapping(s.components, s.his, lo - last, hi - first)))
+    k = first
+    for c in near:
+        if step > 0:
+            a, b = math.ceil(c.lo - hi), math.floor(c.hi - lo)
+        else:
+            a, b = math.ceil(lo - c.hi), math.floor(hi - c.lo)
+        a, b = max(a, k), min(b, last)
+        if a > last:
+            return
+        yield from range(a, b + 1)
+        k = max(k, b + 1)
+
+
 def members_in_interval(
     s: PointSet, lo: Fraction, hi: Fraction
 ) -> Optional[list[Fraction]]:

@@ -18,10 +18,9 @@ from __future__ import annotations
 import enum
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import pointset as ps
 from .pointset import EmptySet, Gap, GapKind, NotBad, PointSet
@@ -188,19 +187,13 @@ def _translate_chain_ok(
     occupant each, drifting by at most +1 per step relative to the previous
     occupant; an empty translate resets the drift.
 
-    Only the translates that meet material are probed.  The next one is
-    found by bisecting to the first component reaching u+k, so the cost
-    follows the components past the flat, not the span.
+    Only the translates that meet material are probed, as ``ps.translates``
+    walks them, so the cost follows the components past the flat, not the
+    span.
     """
     q_prev: Optional[Fraction] = anchor
-    comps = d.components
-    k_prev, k = 0, 1
-    while (i := bisect_left(d.his, u + k)) < len(comps):
-        c = comps[i]
-        if c.lo > v + k:
-            k = math.ceil(c.lo - v)  # the first translate reaching c
-            if u + k > c.hi:
-                continue  # c lies between two translates
+    k_prev = 0
+    for k in ps.translates(d, u, v, 1, 1, math.floor(d.sup - u)):
         if k != k_prev + 1:
             q_prev = None  # the translates skipped were empty
         members = ps.members_in_interval(d, u + k, v + k)
@@ -213,7 +206,7 @@ def _translate_chain_ok(
             q_prev = q
         else:
             q_prev = None
-        k_prev, k = k, k + 1
+        k_prev = k
     return True
 
 
@@ -255,22 +248,49 @@ def _b_valid_right(
 
 def _b_valid_left(
     d: PointSet, delta: Fraction, probe: _Probe
-) -> tuple[Optional[CaseTag], Optional[Fraction], Optional[FailReason]]:
+) -> tuple[Optional[CaseTag], Optional[Fraction], tuple[str, ...], Optional[FailReason]]:
     if probe.members is None or len(probe.members) > 1:
-        return None, None, FailReason.SINGLETON_VIOLATION
+        return None, None, (), FailReason.SINGLETON_VIOLATION
     if probe.gamma_l + probe.gamma_r == 0:
-        return None, None, FailReason.NO_EXTENSION
+        return None, None, (), FailReason.NO_EXTENSION
     if not probe.members:
-        return CaseTag.B22, None, None
+        return CaseTag.B22, None, (), None
     s = probe.members[0]
     if s < probe.hi:
         # The corollary only admits the adjoint point here.
-        return None, None, FailReason.INTERIOR_SINGLETON
+        return None, None, (), FailReason.INTERIOR_SINGLETON
     trim = (1 - delta) / 2
     if min(probe.gamma_l, trim) == 0:
         # b211 shape: belongs to the A-chain, never a terminal.
-        return None, None, FailReason.NO_EXTENSION
-    return CaseTag.B212, s, None
+        return None, None, (), FailReason.NO_EXTENSION
+    return CaseTag.B212, s, (), None
+
+
+def _terminal(
+    probes: list[_Probe],
+    a_steps: list[StepReport],
+    n: int,
+    a_break: Optional[FailReason],
+    b_valid: Callable[[_Probe], tuple],
+) -> ChainInfo:
+    """End a chain at its deepest B-valid probe.  Without one the chain fails
+    at depth ``n``, with the A-break or else the deepest probe's reason."""
+    fail_reason = a_break
+    for m in range(len(probes), 0, -1):
+        probe = probes[m - 1]
+        tag, s, notes, why = b_valid(probe)
+        if tag is not None:
+            steps = tuple(a_steps[: m - 1]) + (
+                StepReport(m, tag, s, probe.gamma_l, probe.gamma_r),
+            )
+            return ChainInfo(
+                steps, "b", m, probe.gamma_l, probe.gamma_r, s, None, notes
+            )
+        if fail_reason is None:
+            fail_reason = why
+    return ChainInfo(
+        tuple(a_steps), "fail", None, None, None, None, (n, fail_reason)
+    )
 
 
 def _chain_right(d: PointSet, r: Fraction, w: Fraction) -> ChainInfo:
@@ -300,22 +320,7 @@ def _chain_right(d: PointSet, r: Fraction, w: Fraction) -> ChainInfo:
         elif members and prev is not None and members[0] > prev + 1:
             a_break = FailReason.CHAIN_ORDER
         break
-    fail_reason = a_break
-    for m in range(len(probes), 0, -1):
-        probe = probes[m - 1]
-        tag, s, notes, why = _b_valid_right(d, probe)
-        if tag is not None:
-            steps = tuple(a_steps[: m - 1]) + (
-                StepReport(m, tag, s, probe.gamma_l, probe.gamma_r),
-            )
-            return ChainInfo(
-                steps, "b", m, probe.gamma_l, probe.gamma_r, s, None, notes
-            )
-        if fail_reason is None:
-            fail_reason = why
-    return ChainInfo(
-        tuple(a_steps), "fail", None, None, None, None, (n, fail_reason)
-    )
+    return _terminal(probes, a_steps, n, a_break, lambda p: _b_valid_right(d, p))
 
 
 def _chain_left(d: PointSet, r: Fraction, w: Fraction) -> ChainInfo:
@@ -346,20 +351,7 @@ def _chain_left(d: PointSet, r: Fraction, w: Fraction) -> ChainInfo:
         else:
             a_break = FailReason.INTERIOR_SINGLETON
         break
-    fail_reason = a_break
-    for m in range(len(probes), 0, -1):
-        probe = probes[m - 1]
-        tag, s, why = _b_valid_left(d, delta, probe)
-        if tag is not None:
-            steps = tuple(a_steps[: m - 1]) + (
-                StepReport(m, tag, s, probe.gamma_l, probe.gamma_r),
-            )
-            return ChainInfo(steps, "b", m, probe.gamma_l, probe.gamma_r, s, None)
-        if fail_reason is None:
-            fail_reason = why
-    return ChainInfo(
-        tuple(a_steps), "fail", None, None, None, None, (n, fail_reason)
-    )
+    return _terminal(probes, a_steps, n, a_break, lambda p: _b_valid_left(d, delta, p))
 
 
 def _reflect_chain(info: ChainInfo) -> ChainInfo:

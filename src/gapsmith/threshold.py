@@ -149,35 +149,6 @@ def _azone_value(t: Fraction, r: Fraction, w: Fraction, expand: Fraction) -> Fra
     return Fraction(w - n)
 
 
-def _material_cells(
-    frame: PointSet, origin: Fraction, step: int, first: int, last: int
-) -> list[int]:
-    """Ascending indices j in [first, last] whose closed unit cell, the one
-    with bottom ``origin + step*j``, meets the closure of a component.
-
-    Each component covers a run of indices read off its endpoints, and only
-    the components that meet the cells are walked, so the cost follows the
-    material, not the span.
-    """
-    if step > 0:
-        near = ps.overlapping(frame.components, frame.his, origin + first, origin + last + 1)
-    else:
-        near = reversed(
-            list(ps.overlapping(frame.components, frame.his, origin - last, origin - first + 1))
-        )
-    out: list[int] = []
-    for c in near:
-        if step > 0:
-            lo, hi = math.ceil(c.lo - origin) - 1, math.floor(c.hi - origin)
-        else:
-            lo, hi = math.ceil(origin - c.hi), math.floor(origin - c.lo) + 1
-        lo = max(lo, out[-1] + 1 if out else first)
-        if lo > last:
-            break
-        out.extend(range(lo, min(hi, last) + 1))
-    return out
-
-
 def _co_pieces(
     frame: PointSet, r: Fraction, w: Fraction, left: st.ChainInfo, right: st.ChainInfo
 ) -> tuple[tuple[plmap.AffinePiece, ...], tuple[str, ...]]:
@@ -203,12 +174,30 @@ def _co_pieces(
         slope = (v_hi - v_lo) / (hi - lo)
         pieces.append(plmap.AffinePiece(lo2, hi2, slope, v_lo - slope * lo, tag=tag))
 
+    def squeeze(k: int, chain: st.ChainInfo) -> tuple:
+        """The terminal window at depth |k| (k < 0 left, k > 0 right): its
+        ends, the image of its low end, and its squeeze segments."""
+        gl, gr = min(chain.gamma_l, trim), min(chain.gamma_r, trim)
+        lo, hi = r + k - gl, w + k + gr
+        img_lo, img_hi = w + k - gl * expand, w + k + gr * expand
+        s = chain.singleton
+        if s is None:
+            return lo, hi, img_lo, [(lo, hi, img_lo, img_hi, "ContractionC")]
+        t = 1 if k > 0 else -1
+        fs = az(s - t) + t
+        segments = []
+        if s > lo:
+            segments.append((lo, s, img_lo, fs, "ContractionC1"))
+        if s < hi:
+            segments.append((s, hi, fs, img_hi, "ContractionC2"))
+        return lo, hi, img_lo, segments
+
     m_left = left.m if left.terminal == "b" else None
     m_right = right.m if right.terminal == "b" else None
     if m_left is not None:
-        gl_l, gr_l = min(left.gamma_l, trim), min(left.gamma_r, trim)
+        lw_lo, lw_hi, _, left_window = squeeze(-m_left, left)
     if m_right is not None:
-        gl_r, gr_r = min(right.gamma_l, trim), min(right.gamma_r, trim)
+        rw_lo, rw_hi, rw_img_lo, right_window = squeeze(m_right, right)
         notes.append(
             "right-side expansion strips anchored one unit up from the printed "
             "domains so that the pieces tile"
@@ -217,64 +206,40 @@ def _co_pieces(
     # Left expansion zone, cells [w-1-n, w-n], including the base cell n = 0
     # whose flat is the gap itself; it reaches the terminal depth or inf.
     last = m_left - 1 if m_left is not None else max(0, math.ceil(w - 1 - a_lo))
-    for n in _material_cells(frame, w - 1, -1, 0, last):
+    for n in ps.translates(frame, w - 1, w, -1, 0, last):
         stretch_lo = w - 1 - n
         if m_left is not None and n == m_left - 1:
-            stretch_lo = w - m_left + gr_l
+            stretch_lo = lw_hi
         add(stretch_lo, r - n, az(stretch_lo), w - n, "Lambda1")
         add(r - n, w - n, Fraction(w - n), Fraction(w - n), "Lambda3")
 
     if m_left is not None:
-        w_lo, w_hi = r - m_left - gl_l, w - m_left + gr_l
-        img_lo, img_hi = w - m_left - gl_l * expand, w - m_left + gr_l * expand
-        window: list[tuple] = []
-        if left.singleton is None:
-            window.append((w_lo, w_hi, img_lo, img_hi, "ContractionC"))
-        else:
-            s = left.singleton
-            fs = az(s + 1) - 1
-            if s > w_lo:
-                window.append((w_lo, s, img_lo, fs, "ContractionC1"))
-            if s < w_hi:
-                window.append((s, w_hi, fs, img_hi, "ContractionC2"))
-        for seg in window:
+        for seg in left_window:
             add(*seg)
-        # The period [w_lo, w_lo + 1] repeats down to inf.
-        period_top = r - m_left + 1 - gl_l
-        period = window + [(w_hi, period_top, az(w_hi), az(period_top), "Lambda2")]
-        for j in _material_cells(frame, w_lo, -1, 1, math.ceil(period_top - a_lo) - 1):
+        # The period [lw_lo, lw_lo + 1] repeats down to inf.
+        period_top = lw_lo + 1
+        period = left_window + [(lw_hi, period_top, az(lw_hi), az(period_top), "Lambda2")]
+        for j in ps.translates(frame, lw_lo, period_top, -1, 1, math.ceil(period_top - a_lo) - 1):
             for (u, v, vu, vv, tag) in period:
                 add(u - j, v - j, vu - j, vv - j, tag)
 
     # Right expansion zone, cells [w+n-1, w+n], up to the terminal depth or sup.
     last = m_right if m_right is not None else math.ceil(b_hi - w + 1) - 1
-    for n in _material_cells(frame, w - 1, 1, 1, last):
+    for n in ps.translates(frame, w - 1, w, 1, 1, last):
         cell_bot = w + n - 1
         if n == m_right:
-            add(cell_bot, r + n - gl_r, az(cell_bot), az(r + n - gl_r), "Lambda1")
+            add(cell_bot, rw_lo, az(cell_bot), az(rw_lo), "Lambda1")
         else:
             add(cell_bot, r + n, az(cell_bot), Fraction(w + n), "Lambda1")
             add(r + n, w + n, Fraction(w + n), Fraction(w + n), "Lambda3")
 
     if m_right is not None:
-        w_lo, w_hi = r + m_right - gl_r, w + m_right + gr_r
-        img_lo, img_hi = w + m_right - gl_r * expand, w + m_right + gr_r * expand
-        window = []
-        if right.singleton is None:
-            window.append((w_lo, w_hi, img_lo, img_hi, "ContractionC"))
-        else:
-            s = right.singleton
-            fs = az(s - 1) + 1
-            if s > w_lo:
-                window.append((w_lo, s, img_lo, fs, "ContractionC1"))
-            if s < w_hi:
-                window.append((s, w_hi, fs, img_hi, "ContractionC2"))
-        for seg in window:
+        for seg in right_window:
             add(*seg)
         # The period [period_bot, period_bot + 1] repeats up to sup.
-        period_bot = w + m_right - 1 + gr_r
-        period = [(period_bot, w_lo, az(period_bot), img_lo, "Lambda2")] + window
-        for j in _material_cells(frame, period_bot, 1, 1, math.ceil(b_hi - period_bot) - 1):
+        period_bot = rw_hi - 1
+        period = [(period_bot, rw_lo, az(period_bot), rw_img_lo, "Lambda2")] + right_window
+        for j in ps.translates(frame, period_bot, rw_hi, 1, 1, math.ceil(b_hi - period_bot) - 1):
             for (u, v, vu, vv, tag) in period:
                 add(u + j, v + j, vu + j, vv + j, tag)
 
@@ -351,7 +316,6 @@ class _Removal:
     """One threshold removal in progress: the unit-cell schedule of the bad
     gaps, then the running total map and image, the steps, ledger and notes."""
 
-    s: PointSet
     partition: UnitPartition
     cell_order: list[int]
     cell_gaps: dict[int, list[Gap]]
@@ -444,7 +408,7 @@ def _schedule(s: PointSet) -> _Removal:
     order = sorted(
         cell_gaps, key=lambda k: (-max(g.length for g in cell_gaps[k]), k)
     )
-    return _Removal(s, part, order, cell_gaps, cell_deltas, notes, plmap.identity(s), s)
+    return _Removal(part, order, cell_gaps, cell_deltas, notes, plmap.identity(s), s)
 
 
 def _prologue(s: PointSet) -> list[Gap]:

@@ -86,8 +86,8 @@ def test_criterion_3_weak_debreu_postconditions():
         assert ps.GapKind.CLOSED_OPEN not in kinds
         assert ps.GapKind.OPEN_CLOSED not in kinds
         assert final.sup - final.inf == s.span
-        ok, witness = plmap.is_strictly_increasing_on(trace.total_map, s)
-        assert ok, witness
+        witness = plmap.increase_witness(plmap.atoms(trace.total_map, s))
+        assert witness is None, witness
     _line(
         "criterion 3 (weak Debreu postconditions)",
         True,
@@ -109,8 +109,8 @@ def test_criterion_4_threshold_certificates():
         assert report.passed, report.failure
         gmap, final, trace = th.remove_strong(s)  # CertificateFailed fails the build
         assert not ps.bad_gaps(final)
-        assert plmap.is_strictly_increasing_on(gmap, s) == (True, None)
-        assert plmap.threshold_equiv(gmap, s) == (True, None)
+        assert plmap.increase_witness(plmap.atoms(gmap, s)) is None
+        assert plmap.threshold_witness(plmap.atoms(gmap, s)) is None
     _line(
         "criterion 4 (threshold certificates)",
         True,
@@ -194,7 +194,7 @@ def test_criterion_8_structure_soundness():
         assert st.check_all(s).passed
         gmap, final, trace = th.remove_strong(s)
         assert not ps.bad_gaps(final)
-        assert plmap.threshold_equiv(gmap, s) == (True, None)
+        assert plmap.threshold_witness(plmap.atoms(gmap, s)) is None
         produced += 1
     elapsed = time.time() - start
     _line(

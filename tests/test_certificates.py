@@ -70,13 +70,13 @@ _ATTAINED_ON_FLAT = _case(
 @example(_ATTAINED_ON_FLAT)
 def test_certificates_agree_with_grid_oracle(case):
     m, s = case
-    ok, witness = plmap.is_strictly_increasing_on(m, s)
-    assert ok == (witness is None)
+    witness = plmap.increase_witness(plmap.atoms(m, s))
+    ok = witness is None
     assert ok or bruteforce.breaks_increase(m, s, witness)
     if bruteforce.increase_violation_on_grid(m, s, _STEP) is not None:
         assert not ok
-    ok, witness = plmap.threshold_equiv(m, s)
-    assert ok == (witness is None)
+    witness = plmap.threshold_witness(plmap.atoms(m, s))
+    ok = witness is None
     assert ok or bruteforce.breaks_threshold(m, s, witness)
     if bruteforce.threshold_violation_on_grid(m, s, _STEP) is not None:
         assert not ok
@@ -118,8 +118,8 @@ def test_certificates_do_not_compare_pairs(monkeypatch):
     for name in ("__lt__", "__le__", "__gt__", "__ge__"):
         monkeypatch.setattr(F, name, counted(getattr(F, name)))
     expected = [
-        (lambda: plmap.is_strictly_increasing_on(m, s), (True, None)),
-        (lambda: plmap.threshold_equiv(m, s), (True, None)),
+        (lambda: plmap.increase_witness(plmap.atoms(m, s)), None),
+        (lambda: plmap.threshold_witness(plmap.atoms(m, s)), None),
         (lambda: th.sup_norm(m), F((n - 1) // 7)),
     ]
     for check, result in expected:

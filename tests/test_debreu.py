@@ -156,7 +156,7 @@ def test_random_corpus_laws():
         final = trace.final_set
         assert not ps.bad_gaps(final)
         assert final.sup - final.inf == s.span
-        assert plmap.is_strictly_increasing_on(trace.total_map, s)[0]
+        assert plmap.increase_witness(plmap.atoms(trace.total_map, s)) is None
         again = debreu.remove_all(final)
         assert again.steps == () and again.final_set == final
 

@@ -120,6 +120,18 @@ def test_pointset_queries_match_oracle(s):
         for hi in xs[::3]:
             got = ps.members_in_interval(s, lo, hi)
             assert got == bruteforce.members_in_interval(s, lo, hi)
+    # Windows narrower and wider than one unit, some degenerate, on both steps.
+    mid = xs[len(xs) // 2]
+    windows = [(s.inf - 1, s.inf), (mid, mid + F(1, 4)), (xs[1], xs[1]), (s.sup, s.sup + F(3, 2))]
+    for lo, hi in windows:
+        for step in (1, -1):
+            for first, last in [(0, 8), (1, 3), (-8, 0), (2, 1)]:
+                dense = [
+                    k for k in range(first, last + 1)
+                    if bruteforce.meets_material(s, lo + step * k, hi + step * k)
+                ]
+                got = list(ps.translates(s, lo, hi, step, first, last))
+                assert got == dense, (lo, hi, step, first, last)
 
 
 @settings(max_examples=300, deadline=None)

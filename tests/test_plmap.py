@@ -102,34 +102,32 @@ def test_image_slope_zero_collapses():
 
 def test_strictly_increasing_identity():
     m, s = _identity_on(0, 1)
-    assert plmap.is_strictly_increasing_on(m, s) == (True, None)
+    assert plmap.increase_witness(plmap.atoms(m, s)) is None
 
 
 def test_strictly_increasing_constant_witness():
     s = ps.pointset(ps.interval(0, 1))
     m = plmap.PLMap((plmap.AffinePiece(F(0), F(1), F(0), F(0)),), s)
-    ok, witness = plmap.is_strictly_increasing_on(m, s)
-    assert not ok and witness == (F(1, 2), F(3, 4))
+    assert plmap.increase_witness(plmap.atoms(m, s)) == (F(1, 2), F(3, 4))
 
 
 def test_strictly_increasing_fuse_map():
     s = ps.pointset(ps.interval(0, F(1, 2), True, False), ps.interval(F(3, 5), 1))
     fmap, _ = debreu.remove_one(s, ps.gaps(s)[0])
-    assert plmap.is_strictly_increasing_on(fmap, s) == (True, None)
+    assert plmap.increase_witness(plmap.atoms(fmap, s)) is None
 
 
 def test_threshold_equiv_identity_and_shift():
     s = ps.pointset(ps.interval(0, F(1, 2)), ps.interval(F(6, 5), 2))
-    assert plmap.threshold_equiv(plmap.identity(s), s) == (True, None)
+    assert plmap.threshold_witness(plmap.atoms(plmap.identity(s), s)) is None
     shift = plmap.PLMap((plmap.AffinePiece(s.inf, s.sup, F(1), F(7, 3)),), s)
-    assert plmap.threshold_equiv(shift, s) == (True, None)
+    assert plmap.threshold_witness(plmap.atoms(shift, s)) is None
 
 
 def test_threshold_equiv_scaling_witness():
     s = ps.pointset(ps.point(F(0)), ps.point(F(3, 5)))
     m = plmap.PLMap((plmap.AffinePiece(F(0), F(3, 5), F(2), F(0)),), s)
-    ok, witness = plmap.threshold_equiv(m, s)
-    assert not ok and witness == (F(0), F(3, 5))
+    assert plmap.threshold_witness(plmap.atoms(m, s)) == (F(0), F(3, 5))
 
 
 def test_sampled_counterexample_violates_threshold():
@@ -141,8 +139,7 @@ def test_sampled_counterexample_violates_threshold():
 
 def test_threshold_equiv_rejects_violation_between_samples():
     m, s = sampled_counterexample()
-    ok, witness = plmap.threshold_equiv(m, s)
-    assert not ok and witness == (F(0), F(17, 48))
+    assert plmap.threshold_witness(plmap.atoms(m, s)) == (F(0), F(17, 48))
 
 
 def test_json_roundtrip():
@@ -200,7 +197,7 @@ def test_threshold_equiv_preserved_under_composition():
     assert len(trace.steps) == 2
     first, second = trace.steps
     mid = plmap.image(first.map, s)
-    assert plmap.threshold_equiv(first.map, s) == (True, None)
-    assert plmap.threshold_equiv(second.map, mid) == (True, None)
+    assert plmap.threshold_witness(plmap.atoms(first.map, s)) is None
+    assert plmap.threshold_witness(plmap.atoms(second.map, mid)) is None
     composed = plmap.compose(second.map, first.map)
-    assert plmap.threshold_equiv(composed, s) == (True, None)
+    assert plmap.threshold_witness(plmap.atoms(composed, s)) is None

@@ -109,8 +109,8 @@ def test_remove_strong_figures_golden(figure_set, request):
     gmap, final, trace = th.remove_strong(figure_set)
     assert final.to_json_dict() == golden
     assert not ps.bad_gaps(final)
-    assert plmap.threshold_equiv(gmap, figure_set) == (True, None)
-    assert plmap.is_strictly_increasing_on(gmap, figure_set) == (True, None)
+    assert plmap.threshold_witness(plmap.atoms(gmap, figure_set)) is None
+    assert plmap.increase_witness(plmap.atoms(gmap, figure_set)) is None
 
 
 def _counted_chains(monkeypatch) -> list:
@@ -307,7 +307,7 @@ def test_trace_records_straddler_note():
     gmap, final, trace = th.remove_strong(s)
     assert any("straddling" in n for n in trace.notes)
     assert not ps.bad_gaps(final)
-    assert plmap.threshold_equiv(gmap, s) == (True, None)
+    assert plmap.threshold_witness(plmap.atoms(gmap, s)) is None
 
 
 def test_trace_straddler_notes_in_cell_order():
