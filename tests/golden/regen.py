@@ -30,13 +30,19 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
+import random
 import sys
 import tempfile
+from collections import Counter
+from fractions import Fraction as F
 from pathlib import Path
 
 from gapsmith import cli
+from gapsmith import pointset as ps
+from gapsmith import structure as st
 
 HERE = Path(__file__).resolve().parent
 SETS = HERE / "inputs" / "sets.txt"
@@ -172,10 +178,6 @@ def record() -> None:
 def _counterexamples():
     """Sets whose structure verdict disagrees with removability: two false
     Fails (a certified map exists) and one false Pass (the removal stops)."""
-    from fractions import Fraction as F
-
-    from gapsmith import pointset as ps
-
     return {
         "false-fail-left": ps.pointset(
             ps.interval(F(-7, 2), -2, False, False),
@@ -197,15 +199,10 @@ def _counterexamples():
     }
 
 
-def _presentations():
+def _presentations(random_presentation):
     """Random presentations bringing every Fail reason that the chains report:
     the first draws of two seeded streams, on the 1/60 and the 1/4 grid, then
     later 1/4-grid draws while one of their reasons has fewer than five sets."""
-    import random
-    from collections import Counter
-
-    from conftest import random_presentation
-    from gapsmith import structure as st
 
     def reasons(s):
         return {c.failure.reason.value for c in st.check_all(s).per_gap if c.failure}
@@ -227,8 +224,6 @@ def _presentations():
 def _relations(n: int, keep):
     """Every irreflexive asymmetric relation on n labeled points that ``keep``
     accepts, as rows of 0/1."""
-    import itertools
-
     pairs = list(itertools.combinations(range(n), 2))
     for code in itertools.product(range(3), repeat=len(pairs)):
         m = [[False] * n for _ in range(n)]
@@ -241,8 +236,6 @@ def _relations(n: int, keep):
 
 
 def build_inputs() -> None:
-    import random
-
     sys.path[:0] = [str(HERE.parent), str(HERE.parents[1])]
     import conftest
     from perfbench import generators as gen
@@ -255,7 +248,7 @@ def build_inputs() -> None:
         ("strong", gen.strong_pool(random.Random(1), 120)),
         ("wide", gen.wide_pool(random.Random(1), 40)),
         ("weak", gen.weak_pool(random.Random(7), 40)),
-        ("presentation", _presentations()),
+        ("presentation", _presentations(conftest.random_presentation)),
     )
     for group, pool in pools:
         sets += [(f"{group}-{i:03d}", group, s) for i, s in enumerate(pool)]
