@@ -15,13 +15,10 @@ from .pointset import (
     MalformedComponent,
     NotBad,
     PointSet,
-    UnitPartition,
     bad_gap_mass,
     bad_gaps,
     gaps,
     normalize,
-    sample_points,
-    unit_partition,
 )
 from .plmap import (
     AffinePiece,
@@ -69,7 +66,6 @@ from .semiorder import (
     SSRep,
     SynthesisFailed,
     TooLarge,
-    TraceOrder,
     check_axioms,
     check_ss,
     enumerate_semiorders,

@@ -8,6 +8,7 @@ error, 74 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -63,6 +64,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # built once per process; a parse keeps no state in it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gapsmith")
     sub = parser.add_subparsers(dest="verb")

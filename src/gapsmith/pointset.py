@@ -251,66 +251,6 @@ def bad_gap_mass(s: PointSet) -> tuple[Fraction, list[Fraction]]:
     return sum(per_gap, Fraction(0)), per_gap
 
 
-def sample_points(s: PointSet) -> list[Fraction]:
-    """Finite representative sample: member endpoints, midpoints, quartiles.
-
-    Three interior points per interval component, so an affine piece cannot
-    change slope sign between samples.
-    """
-    if not s:
-        raise EmptySet("no samples of the empty set")
-    pts: set[Fraction] = set()
-    for c in s.components:
-        if c.is_point:
-            pts.add(c.lo)
-            continue
-        if c.lo_closed:
-            pts.add(c.lo)
-        if c.hi_closed:
-            pts.add(c.hi)
-        quarter = c.length / 4
-        pts.update((c.lo + quarter, c.lo + 2 * quarter, c.lo + 3 * quarter))
-    return sorted(pts)
-
-
-@dataclass(frozen=True)
-class UnitPartition:
-    """Cover of [inf, sup] by consecutive unit cells I_k = [anchor+k-2, anchor+k-1],
-    k = 1-m, ..., n.
-
-    Only the anchor and the two counts are stored, and a cell is arithmetic
-    on them, so a partition costs the same whatever the span.
-    """
-
-    anchor: Fraction
-    m: int
-    n: int
-
-    @property
-    def t(self) -> int:
-        return self.m + self.n
-
-    @property
-    def intervals(self) -> tuple[tuple[int, Fraction, Fraction], ...]:
-        """Every cell as (k, lo, hi), in increasing order: as many as the span
-        has units, so the removals never ask for them."""
-        return tuple((k, *self.cell(k)) for k in range(1 - self.m, self.n + 1))
-
-    def cell(self, k: int) -> tuple[Fraction, Fraction]:
-        return self.anchor + k - 2, self.anchor + k - 1
-
-
-def unit_partition(s: PointSet, anchor: Fraction) -> UnitPartition:
-    """Minimal grid of unit cells anchored so that I_1 = [anchor-1, anchor]."""
-    if not s:
-        raise EmptySet("cannot partition the empty set")
-    m = max(0, math.ceil(anchor - 1 - s.inf))
-    n = max(0, math.ceil(s.sup - anchor + 1))
-    if m + n == 0:
-        n = 1
-    return UnitPartition(anchor, m, n)
-
-
 def reflect(s: PointSet) -> PointSet:
     """Mirror image -S; OpenClosed analyses run on it as ClosedOpen ones."""
     return normalize(

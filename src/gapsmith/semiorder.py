@@ -87,14 +87,6 @@ def from_json_dict(obj: dict) -> Semiorder:
 
 
 @dataclass(frozen=True)
-class TraceOrder:
-    weak: Matrix  # weak[x][y] iff x is trace-below-or-equivalent to y
-
-    def le(self, x: int, y: int) -> bool:
-        return self.weak[x][y]
-
-
-@dataclass(frozen=True)
 class SSRep:
     """Utility values under the fixed threshold 1."""
 
@@ -198,16 +190,17 @@ def _require_semiorder(r: Semiorder) -> _Shape:
     return shape
 
 
-def trace(r: Semiorder) -> TraceOrder:
-    """x lies trace-below y iff pred(x) lies in pred(y) and succ(x) contains succ(y).
+def trace(r: Semiorder) -> Matrix:
+    """The weak trace matrix: [x][y] iff pred(x) lies in pred(y) and succ(x)
+    contains succ(y), that is, x is trace-below or trace-equivalent to y.
 
     Both are nested in a semiorder, so counts decide; others raise NotASemiorder.
     """
     pred, succ, _, _ = _require_semiorder(r)
-    return TraceOrder(tuple(
+    return tuple(
         tuple(px <= py and sx >= sy for py, sy in zip(pred, succ))
         for px, sx in zip(pred, succ)
-    ))
+    )
 
 
 def check_ss(r: Semiorder, u: SSRep) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -230,7 +223,7 @@ def synthesize_ss(r: Semiorder) -> SSRep:
     threshold of at most n - 2 (Pirlot 1990), so integers under threshold
     k = 2n always exist; dividing them by k gives values under threshold 1.
     """
-    weak = trace(r).weak
+    weak = trace(r)
     n = r.n
     k = 2 * n
     edges: list[tuple[int, int, int]] = []

@@ -49,7 +49,6 @@ class FailReason(enum.Enum):
     GAP_TOO_LONG = "gap_too_long"
     SINGLETON_VIOLATION = "singleton_violation"
     CHAIN_ORDER = "chain_order"
-    NO_EXTENSION = "no_extension"
     INTERIOR_SINGLETON = "interior_singleton"
     FLAT_TRANSLATE_OCCUPIED = "flat_translate_occupied"
 
@@ -163,7 +162,6 @@ class StructureReport:
 
 @dataclass(frozen=True)
 class _Probe:
-    n: int
     lo: Fraction
     hi: Fraction
     members: Optional[list[Fraction]]
@@ -210,87 +208,73 @@ def _translate_chain_ok(
     return True
 
 
-def _b_valid_right(
-    d: PointSet, probe: _Probe
-) -> tuple[Optional[CaseTag], Optional[Fraction], tuple[str, ...], Optional[FailReason]]:
-    if probe.members is None or len(probe.members) > 1:
-        return None, None, (), FailReason.SINGLETON_VIOLATION
-    if probe.gamma_l + probe.gamma_r == 0:
-        return None, None, (), FailReason.NO_EXTENSION
-    if not probe.members:
-        return CaseTag.B12, None, (), None
-    s = probe.members[0]
+# A B-validity test returns the terminal's (tag, singleton, notes), or None
+# when the probe is no B-step.
+_BStep = Optional[tuple[CaseTag, Optional[Fraction], tuple[str, ...]]]
+
+
+def _b_valid_right(d: PointSet, probe: _Probe) -> _BStep:
+    members = probe.members
+    if members is None or len(members) > 1 or probe.gamma_l + probe.gamma_r == 0:
+        return None
+    if not members:
+        return CaseTag.B12, None, ()
+    s = members[0]
     if probe.prev_singleton is not None and s > probe.prev_singleton + 1:
-        return None, None, (), FailReason.CHAIN_ORDER
+        return None
     notes: list[str] = []
-    if probe.gamma_l == 0 and s > probe.lo:
-        if not _translate_chain_ok(d, probe.lo, s, s):
-            return None, None, (), FailReason.FLAT_TRANSLATE_OCCUPIED
-        notes.append(
-            "case (ci) continuation read as occupancy chain on translates of "
-            f"[{format_rational(probe.lo)}, {format_rational(s)}]"
-        )
-    if probe.gamma_r == 0 and s < probe.hi:
-        if not _translate_chain_ok(d, s, probe.hi, s):
-            return None, None, (), FailReason.FLAT_TRANSLATE_OCCUPIED
-        notes.append(
-            "case (ci) continuation read as occupancy chain on translates of "
-            f"[{format_rational(s)}, {format_rational(probe.hi)}]"
-        )
+    for pinned, u, v in ((probe.gamma_l == 0, probe.lo, s), (probe.gamma_r == 0, s, probe.hi)):
+        if pinned and u < v:
+            if not _translate_chain_ok(d, u, v, s):
+                return None
+            notes.append(
+                "case (ci) continuation read as occupancy chain on translates of "
+                f"[{format_rational(u)}, {format_rational(v)}]"
+            )
     if probe.gamma_r == 0:
         tag = CaseTag.B111
     elif probe.gamma_l == 0:
         tag = CaseTag.B112
     else:
         tag = CaseTag.B113
-    return tag, s, tuple(notes), None
+    return tag, s, tuple(notes)
 
 
-def _b_valid_left(
-    d: PointSet, delta: Fraction, probe: _Probe
-) -> tuple[Optional[CaseTag], Optional[Fraction], tuple[str, ...], Optional[FailReason]]:
-    if probe.members is None or len(probe.members) > 1:
-        return None, None, (), FailReason.SINGLETON_VIOLATION
-    if probe.gamma_l + probe.gamma_r == 0:
-        return None, None, (), FailReason.NO_EXTENSION
-    if not probe.members:
-        return CaseTag.B22, None, (), None
-    s = probe.members[0]
-    if s < probe.hi:
-        # The corollary only admits the adjoint point here.
-        return None, None, (), FailReason.INTERIOR_SINGLETON
-    trim = (1 - delta) / 2
-    if min(probe.gamma_l, trim) == 0:
-        # b211 shape: belongs to the A-chain, never a terminal.
-        return None, None, (), FailReason.NO_EXTENSION
-    return CaseTag.B212, s, (), None
+def _b_valid_left(probe: _Probe) -> _BStep:
+    members = probe.members
+    if members is None or len(members) > 1 or probe.gamma_l + probe.gamma_r == 0:
+        return None
+    if not members:
+        return CaseTag.B22, None, ()
+    # The corollary admits only the adjoint point here, and only with a margin
+    # below it: gamma_l == 0 is the b211 shape, which belongs to the A-chain
+    # (the condition min(gamma_l, (1 - delta)/2) == 0, as delta < 1).
+    if members[0] < probe.hi or probe.gamma_l == 0:
+        return None
+    return CaseTag.B212, members[0], ()
 
 
 def _terminal(
     probes: list[_Probe],
     a_steps: list[StepReport],
     n: int,
-    a_break: Optional[FailReason],
-    b_valid: Callable[[_Probe], tuple],
+    reason: FailReason,
+    b_valid: Callable[[_Probe], _BStep],
 ) -> ChainInfo:
     """End a chain at its deepest B-valid probe.  Without one the chain fails
-    at depth ``n``, with the A-break or else the deepest probe's reason."""
-    fail_reason = a_break
+    at depth ``n`` with ``reason``, the reason its walk broke."""
     for m in range(len(probes), 0, -1):
         probe = probes[m - 1]
-        tag, s, notes, why = b_valid(probe)
-        if tag is not None:
+        b_step = b_valid(probe)
+        if b_step is not None:
+            tag, s, notes = b_step
             steps = tuple(a_steps[: m - 1]) + (
                 StepReport(m, tag, s, probe.gamma_l, probe.gamma_r),
             )
             return ChainInfo(
                 steps, "b", m, probe.gamma_l, probe.gamma_r, s, None, notes
             )
-        if fail_reason is None:
-            fail_reason = why
-    return ChainInfo(
-        tuple(a_steps), "fail", None, None, None, None, (n, fail_reason)
-    )
+    return ChainInfo(tuple(a_steps), "fail", None, None, None, None, (n, reason))
 
 
 def _chain_right(d: PointSet, r: Fraction, w: Fraction) -> ChainInfo:
@@ -298,44 +282,46 @@ def _chain_right(d: PointSet, r: Fraction, w: Fraction) -> ChainInfo:
     probes: list[_Probe] = []
     prev: Optional[Fraction] = w
     n = 1
-    a_break: Optional[FailReason] = None
     while True:
         lo, hi = r + n, w + n
         if lo >= d.sup:
             return ChainInfo(tuple(a_steps), "exit", None, None, None, None, None)
         members = ps.members_in_interval(d, lo, hi)
         gl, gr = _gammas(d, lo, hi)
-        probes.append(_Probe(n, lo, hi, members, gl, gr, prev))
+        probes.append(_Probe(lo, hi, members, gl, gr, prev))
         if members is not None and len(members) <= 1 and gl == 0 and gr == 0:
             s = members[0] if members else None
             if s is not None and prev is not None and s > prev + 1:
-                a_break = FailReason.CHAIN_ORDER
+                reason = FailReason.CHAIN_ORDER
                 break
             a_steps.append(StepReport(n, CaseTag.A1, s, gl, gr))
             prev = s
             n += 1
             continue
         if members is None or len(members) > 1:
-            a_break = FailReason.SINGLETON_VIOLATION
+            reason = FailReason.SINGLETON_VIOLATION
         elif members and prev is not None and members[0] > prev + 1:
-            a_break = FailReason.CHAIN_ORDER
+            reason = FailReason.CHAIN_ORDER
+        else:
+            # At most one member, in chain order, margins not both zero: as a
+            # terminal this probe fails only on an occupied flat translate,
+            # and the chain fails with its reason when no probe is B-valid.
+            reason = FailReason.FLAT_TRANSLATE_OCCUPIED
         break
-    return _terminal(probes, a_steps, n, a_break, lambda p: _b_valid_right(d, p))
+    return _terminal(probes, a_steps, n, reason, lambda p: _b_valid_right(d, p))
 
 
 def _chain_left(d: PointSet, r: Fraction, w: Fraction) -> ChainInfo:
-    delta = w - r
     a_steps: list[StepReport] = []
     probes: list[_Probe] = []
     n = 1
-    a_break: Optional[FailReason] = None
     while True:
         lo, hi = r - n, w - n
         if hi <= d.inf:
             return ChainInfo(tuple(a_steps), "exit", None, None, None, None, None)
         members = ps.members_in_interval(d, lo, hi)
         gl, gr = _gammas(d, lo, hi)
-        probes.append(_Probe(n, lo, hi, members, gl, gr, None))
+        probes.append(_Probe(lo, hi, members, gl, gr, None))
         interior_free = members is not None and all(q == hi for q in members)
         if interior_free:
             s = members[0] if members else None
@@ -347,11 +333,11 @@ def _chain_left(d: PointSet, r: Fraction, w: Fraction) -> ChainInfo:
             n += 1
             continue
         if members is None or len(members) > 1:
-            a_break = FailReason.SINGLETON_VIOLATION
+            reason = FailReason.SINGLETON_VIOLATION
         else:
-            a_break = FailReason.INTERIOR_SINGLETON
+            reason = FailReason.INTERIOR_SINGLETON
         break
-    return _terminal(probes, a_steps, n, a_break, lambda p: _b_valid_left(d, delta, p))
+    return _terminal(probes, a_steps, n, reason, _b_valid_left)
 
 
 def _reflect_chain(info: ChainInfo) -> ChainInfo:

@@ -36,7 +36,7 @@ from typing import Optional
 from . import plmap
 from . import pointset as ps
 from . import structure as st
-from .pointset import EmptySet, Gap, GapKind, InvariantBroken, PointSet, UnitPartition
+from .pointset import EmptySet, Gap, GapKind, InvariantBroken, PointSet
 from .rationals import format_rational
 
 
@@ -304,8 +304,10 @@ def _closed_end(g: Gap) -> Fraction:
     return g.hi if g.kind == GapKind.CLOSED_OPEN else g.lo
 
 
-def _cell_of(part: UnitPartition, g: Gap) -> int:
-    x = _closed_end(g) - part.anchor
+def _cell_of(anchor: Fraction, g: Gap) -> int:
+    """The k of the unit cell [anchor + k - 2, anchor + k - 1] holding the
+    stretch of ``g`` next to its end in the set."""
+    x = _closed_end(g) - anchor
     if g.kind == GapKind.CLOSED_OPEN:
         return math.ceil(x) + 1
     return math.floor(x) + 2
@@ -316,7 +318,7 @@ class _Removal:
     """One threshold removal in progress: the unit-cell schedule of the bad
     gaps, then the running total map and image, the steps, ledger and notes."""
 
-    partition: UnitPartition
+    anchor: Fraction
     cell_order: list[int]
     cell_gaps: dict[int, list[Gap]]
     cell_deltas: dict[int, list[Fraction]]
@@ -382,17 +384,15 @@ def _schedule(s: PointSet) -> _Removal:
     """Assign the bad gaps of ``s`` to unit cells; the removal starts here."""
     bads = ps.bad_gaps_biggest_first(s)
     anchor = _closed_end(bads[0])
-    part = ps.unit_partition(s, anchor)
     cell_gaps: dict[int, list[Gap]] = {}
     for g in bads:
-        cell_gaps.setdefault(_cell_of(part, g), []).append(g)
+        cell_gaps.setdefault(_cell_of(anchor, g), []).append(g)
     # A bad gap is shorter than one unit, so it overlaps one cell or two:
     # those whose interior it meets.  Cells hit by no gap stay unvisited.
     hits: list[tuple[int, int, Fraction]] = []
     for i, g in enumerate(bads):
         for k in range(math.floor(g.lo - anchor) + 2, math.ceil(g.hi - anchor) + 2):
-            lo, hi = part.cell(k)
-            hits.append((k, i, min(g.hi, hi) - max(g.lo, lo)))
+            hits.append((k, i, min(g.hi, anchor + k - 1) - max(g.lo, anchor + k - 2)))
     notes: list[str] = []
     cell_deltas: dict[int, list[Fraction]] = {}
     for k, i, overlap in sorted(hits):
@@ -408,7 +408,7 @@ def _schedule(s: PointSet) -> _Removal:
     order = sorted(
         cell_gaps, key=lambda k: (-max(g.length for g in cell_gaps[k]), k)
     )
-    return _Removal(part, order, cell_gaps, cell_deltas, notes, plmap.identity(s), s)
+    return _Removal(anchor, order, cell_gaps, cell_deltas, notes, plmap.identity(s), s)
 
 
 def _prologue(s: PointSet) -> list[Gap]:
@@ -464,7 +464,7 @@ def remove_epsilon(
     # Budget safety: the per-cell stop bound uses the original masses, so a
     # heavily re-stretched residue could in principle still reach eps0.
     while (g := run.longest(bads, eps0)) is not None:
-        cell = _cell_of(run.partition, g)
+        cell = _cell_of(run.anchor, g)
         run.visited.append(cell)
         run.notes.append("budget safety pass revisited a cell")
         run.step(g, cell)

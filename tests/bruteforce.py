@@ -4,6 +4,9 @@ Semiorders: the axiom search over all n^4 quadruples, every asymmetric
 relation on n points filtered by it, an isomorphism key that tries all n!
 relabelings, and the trace and irreducible cuts from their set definitions.
 
+Probe points: a few members of each component, where tests check a map or
+a set pointwise.
+
 Lookups: linear-scan versions of the point-set queries, ``PLMap.apply``,
 ``plmap.image`` and ``plmap.compose``, which visit every component and every
 piece where the package bisects to the overlapping ones.
@@ -114,6 +117,28 @@ def canonical_form(strict) -> bytes:
         bytes(strict[p[i]][p[j]] for i in range(n) for j in range(n))
         for p in itertools.permutations(range(n))
     )
+
+
+# -- probe points ----------------------------------------------------------------
+
+
+def sample_points(s: ps.PointSet) -> list[F]:
+    """Probe points of ``s`` for tests, sorted: every point component, the
+    member endpoints of each interval and its three quarter points."""
+    if not s:
+        raise ps.EmptySet("no samples of the empty set")
+    pts: set[F] = set()
+    for c in s.components:
+        if c.is_point:
+            pts.add(c.lo)
+            continue
+        if c.lo_closed:
+            pts.add(c.lo)
+        if c.hi_closed:
+            pts.add(c.hi)
+        quarter = c.length / 4
+        pts.update((c.lo + quarter, c.lo + 2 * quarter, c.lo + 3 * quarter))
+    return sorted(pts)
 
 
 # -- lookups ---------------------------------------------------------------------
@@ -574,7 +599,7 @@ def exists_threshold_closing_map(
             node_cap,
         )
     r, w = gap.lo, gap.hi
-    xs = ps.sample_points(s)
+    xs = sample_points(s)
     iw = xs.index(w)
     k = len(xs)
     edges = _constraints(xs, iw, r)

@@ -109,19 +109,6 @@ def _sha(data: bytes | None) -> str | None:
     return None if data is None else hashlib.sha256(data).hexdigest()
 
 
-@contextlib.contextmanager
-def _one_parser():
-    """``cli.main`` builds its argument parser on every call, which costs more
-    than most verbs here; reuse one parser, which keeps no state between calls."""
-    build = cli._build_parser
-    parser = build()
-    cli._build_parser = lambda: parser
-    try:
-        yield
-    finally:
-        cli._build_parser = build
-
-
 def run_input(row: dict, workdir: str) -> dict[str, tuple[list, bytes, bytes | None]]:
     """verb -> ([exit, stderr line, stdout SHA, trace SHA], stdout, trace) on one input."""
     inp = os.path.join(workdir, "input.json")
@@ -130,20 +117,19 @@ def run_input(row: dict, workdir: str) -> dict[str, tuple[list, bytes, bytes | N
         json.dump(row["data"], fh)
     verbs = SET_VERBS if row["kind"] == "set" else RELATION_VERBS
     out = {}
-    with _one_parser():
-        for verb, argv in verbs.items():
-            argv = [*argv, "--input", inp]
-            if argv[0] == "remove":
-                argv += ["--trace", trace]
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(trace)
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.main(argv)
-            out_bytes = stdout.getvalue().encode()
-            trace_bytes = Path(trace).read_bytes() if os.path.exists(trace) else None
-            first_err = stderr.getvalue().partition("\n")[0]
-            out[verb] = [code, first_err, _sha(out_bytes), _sha(trace_bytes)], out_bytes, trace_bytes
+    for verb, argv in verbs.items():
+        argv = [*argv, "--input", inp]
+        if argv[0] == "remove":
+            argv += ["--trace", trace]
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(trace)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        out_bytes = stdout.getvalue().encode()
+        trace_bytes = Path(trace).read_bytes() if os.path.exists(trace) else None
+        first_err = stderr.getvalue().partition("\n")[0]
+        out[verb] = [code, first_err, _sha(out_bytes), _sha(trace_bytes)], out_bytes, trace_bytes
     return out
 
 

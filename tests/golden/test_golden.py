@@ -9,6 +9,8 @@ import json
 import pytest
 
 import regen
+from gapsmith import pointset as ps
+from gapsmith import structure as st
 
 INPUTS = regen.read_inputs()
 with open(regen.MANIFEST, encoding="utf-8") as fh:
@@ -30,3 +32,15 @@ def test_cli_outputs_match_the_corpus(row, workdir):
             recorded = trace_path.read_bytes() if trace_path.exists() else None
             assert trace_bytes == recorded, verb
     assert {verb: run[0] for verb, run in runs.items()} == MANIFEST[row["name"]]
+
+
+def test_every_fail_reason_is_reported():
+    # A reason that no committed set reports is a branch nothing pins down.
+    reported = {
+        ctx.failure.reason
+        for row in INPUTS
+        if row["kind"] == "set"
+        for ctx in st.check_all(ps.from_json_dict(row["data"])).per_gap
+        if ctx.failure is not None
+    }
+    assert reported == set(st.FailReason)

@@ -12,7 +12,7 @@ from gapsmith import pointset as ps
 from gapsmith import structure as st
 from gapsmith.threshold import _schedule
 from conftest import FIGURES, fail_corpus, random_pass_instance, random_presentation
-from bruteforce import exists_threshold_closing_map
+from bruteforce import exists_threshold_closing_map, sample_points
 
 
 def _line(name: str, ok: bool, detail: str) -> None:
@@ -49,7 +49,7 @@ def test_criterion_2_distance_law():
     pairs_checked = 0
     for s in _debreu_corpus():
         trace = debreu.remove_all(s)
-        samples = ps.sample_points(s)
+        samples = sample_points(s)
         width = s.span
         if len(samples) < 2 or width == 0:
             continue
@@ -167,7 +167,7 @@ def test_criterion_7_synthesis_soundness():
             tr = so.trace(r)
             for x in range(n):
                 for y in range(n):
-                    if tr.weak[x][y]:
+                    if tr[x][y]:
                         assert rep.values[x] <= rep.values[y]
             total += 1
     _line(
@@ -182,7 +182,7 @@ def test_criterion_8_structure_soundness():
     blocked = 0
     for s, gap in fail_corpus():
         assert not st.check_all(s).passed
-        assert len(ps.sample_points(s)) <= 10
+        assert len(sample_points(s)) <= 10
         assert not exists_threshold_closing_map(s, gap, max_den=24)
         blocked += 1
     rng = random.Random(880011)

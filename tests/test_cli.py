@@ -38,6 +38,18 @@ def test_parse_args_zero_denominator():
         )
 
 
+def test_parse_args_keeps_no_state_between_calls():
+    # One parser serves every call in the process.
+    assert cli._build_parser() is cli._build_parser()
+    eps = cli.parse_args(["remove", "--mode", "epsilon", "--epsilon", "1/8", "--input", "x"])
+    assert eps.options["epsilon"] == F(1, 8)
+    with pytest.raises(cli.UsageError):
+        cli.parse_args(["remove", "--mode", "bogus", "--input", "x"])
+    assert cli.parse_args(["remove", "--mode", "strong", "--input", "x"]).options["epsilon"] is None
+    assert cli.parse_args(["enumerate", "--n", "3", "--iso"]).options["iso"] is True
+    assert cli.parse_args(["enumerate", "--n", "3"]).options["iso"] is False
+
+
 def test_main_usage_exit_code():
     assert cli.main(["remove", "--mode", "epsilon", "--input", "s.json"]) == 64
     assert cli.main(["frobnicate"]) == 64

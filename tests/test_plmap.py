@@ -6,6 +6,7 @@ import pytest
 from gapsmith import debreu, plmap
 from gapsmith import pointset as ps
 from conftest import sampled_counterexample
+from bruteforce import sample_points
 
 
 def _identity_on(lo, hi):
@@ -49,7 +50,7 @@ def test_compose_identity_neutral():
     s = ps.pointset(ps.interval(0, F(1, 2), True, False), ps.interval(F(3, 5), 1))
     fmap, img = debreu.remove_one(s, ps.gaps(s)[0])
     both = plmap.compose(fmap, plmap.identity(s))
-    for x in ps.sample_points(s):
+    for x in sample_points(s):
         assert both.apply(x) == fmap.apply(x)
 
 
@@ -165,7 +166,7 @@ def test_compose_associative_on_samples():
         dbl = plmap.PLMap((plmap.AffinePiece(s2.inf, s2.sup, F(3, 2), F(0)),), s2)
         left = plmap.compose(plmap.compose(dbl, sh), f1)
         right = plmap.compose(dbl, plmap.compose(sh, f1))
-        for x in ps.sample_points(s):
+        for x in sample_points(s):
             assert left.apply(x) == right.apply(x)
 
 
@@ -176,8 +177,8 @@ def test_image_commutes_with_apply():
         ps.interval(F(3, 4), 1, False, True),
     )
     fmap, img = debreu.remove_one(s, ps.bad_gaps(s)[0])
-    mapped = sorted(fmap.apply(x) for x in ps.sample_points(s))
-    for q in ps.sample_points(img):
+    mapped = sorted(fmap.apply(x) for x in sample_points(s))
+    for q in sample_points(img):
         # every image component endpoint is the image of a source sample
         if any(q == c.lo or q == c.hi for c in img.components):
             assert q in mapped

